@@ -983,13 +983,15 @@ let serving_section () =
     ]
 
 (* Resilience: checkpoint-cadence overhead on a fixed faulty scenario,
-   restored-report equality at every cut instant (the crash-recovery
-   drill), and live-reconfiguration recovery counts.  Counts and
+   restored-report equality at every cut (the crash-recovery drill), and
+   live-reconfiguration recovery counts.  Counts, byte sizes and
    equality flags are fixed-seed deterministic; only the wall times and
    the derived overhead vary run to run. *)
 let resilience_section () =
   let module E = Qnet_online.Engine in
   let module W = Qnet_online.Workload in
+  let module Checkpoint = Qnet_resilience.Checkpoint in
+  let module Journal = Qnet_resilience.Journal in
   let rng = Qnet_util.Prng.create 42 in
   let g = Qnet_topology.Waxman.generate rng Qnet_topology.Spec.default in
   let params = Qnet_core.Params.default in
@@ -1013,14 +1015,11 @@ let resilience_section () =
             ( every,
               fun _ snap ->
                 incr cuts;
-                snapshot_bytes :=
-                  String.length
-                    (Qnet_util.Sexp.to_string (E.snapshot_to_sexp snap)) )
+                snapshot_bytes := String.length (Checkpoint.encode snap) )
           g params ~requests:reqs)
   in
-  let overhead_pct =
-    if wall_plain <= 0. then 0.
-    else (wall_ckpt -. wall_plain) /. wall_plain *. 100.
+  let pct w =
+    if wall_plain <= 0. then 0. else (w -. wall_plain) /. wall_plain *. 100.
   in
   let drill =
     Qnet_resilience.Drill.crash_restore ~config ~faults ~every g params
@@ -1044,11 +1043,11 @@ let resilience_section () =
   let reconfig_report, _ =
     E.run ~config ~faults ~reconfig g params ~requests:reqs
   in
-  (* Full-rewrite vs incremental+journal checkpointing, with real file
-     writes, at two cadences.  Bytes written per run are the
-     deterministic overhead measure the guard enforces (wall times ride
-     along informationally); each incremental run is then recovered
-     from its own files and replayed under the journal verifier. *)
+  (* Durable cuts plus the write-ahead journal, with real file writes,
+     at two cadences.  Bytes written per run (cuts plus every journal)
+     are the deterministic overhead measure; wall times ride along
+     informationally.  Each run is then recovered from its own files and
+     replayed under the journal verifier. *)
   let fsize p =
     let ic = open_in_bin p in
     let n = in_channel_length ic in
@@ -1056,8 +1055,6 @@ let resilience_section () =
     n
   in
   let cadence_row dt =
-    let module Chain = Qnet_resilience.Chain in
-    let module Journal = Qnet_resilience.Journal in
     let dir = Filename.temp_dir "muerp-bench-resil" "" in
     Fun.protect
       ~finally:(fun () ->
@@ -1067,92 +1064,67 @@ let resilience_section () =
           (try Sys.readdir dir with Sys_error _ -> [||]);
         try Sys.rmdir dir with Sys_error _ -> ())
       (fun () ->
-        let full_path = Filename.concat dir "full.ckpt" in
-        let full_bytes = ref 0 and full_cuts = ref 0 in
-        let wall_full, _ =
-          timed (fun () ->
-              E.run ~config ~faults
-                ~checkpoint:
-                  ( dt,
-                    fun _ snap ->
-                      (match
-                         Qnet_resilience.Checkpoint.save ~path:full_path
-                           ~config:"bench" snap
-                       with
-                      | Ok _ -> ()
-                      | Error m -> failwith m);
-                      incr full_cuts;
-                      full_bytes := !full_bytes + fsize full_path )
-                g params ~requests:reqs)
-        in
-        let root = Filename.concat dir "chain.ckpt" in
-        let jp = Chain.journal_path root in
-        let writer =
-          Chain.create ~path:root ~config:"bench" ~every:6 ~journal:jp ()
-        in
-        let incr_bytes = ref 0 and incr_cuts = ref 0 in
+        let path = Filename.concat dir "bench.ckpt" in
+        let jp = Filename.concat dir "bench.journal" in
+        let writer = Checkpoint.writer ~path ~config:"bench" ~journal:jp () in
+        let bytes = ref 0 and snaps = ref [] in
+        (* A cut restarts the journal, so bill the outgoing journal's
+           bytes first. *)
         let journal_tally () =
-          if Sys.file_exists jp then incr_bytes := !incr_bytes + fsize jp
+          if Sys.file_exists jp then bytes := !bytes + fsize jp
         in
-        let wall_incr, _ =
+        let wall, _ =
           timed (fun () ->
               E.run ~config ~faults
-                ~on_transition:(Chain.on_transition writer)
+                ~on_transition:(Checkpoint.on_transition writer)
                 ~checkpoint:
                   ( dt,
                     fun _ snap ->
-                      (* The cut restarts the journal, so bill the
-                         outgoing journal's bytes first. *)
                       journal_tally ();
-                      match Chain.cut writer snap with
-                      | Ok info ->
-                          incr incr_cuts;
-                          incr_bytes := !incr_bytes + info.Chain.c_bytes
-                      | Error m -> failwith m )
+                      (match Checkpoint.cut writer snap with
+                      | Ok _ -> bytes := !bytes + fsize path
+                      | Error m -> failwith m);
+                      snaps := snap :: !snaps )
                 g params ~requests:reqs)
         in
-        Chain.close writer;
+        Checkpoint.close writer;
         journal_tally ();
+        let sum f =
+          List.fold_left (fun acc s -> acc + String.length (f s)) 0 !snaps
+        in
+        let sexp_ratio =
+          float_of_int
+            (sum (fun s -> Qnet_util.Sexp.to_string (E.snapshot_to_sexp s)))
+          /. float_of_int (max 1 (sum Checkpoint.encode))
+        in
         let restored_equal, replay_equal, warnings =
-          match Chain.recover ~path:root ~config:"bench" ~journal:jp () with
+          match Checkpoint.recover ~path ~config:"bench" ~journal:jp () with
           | Error m -> failwith ("bench recovery failed: " ^ m)
           | Ok r ->
-              let v = Journal.verifier r.Chain.r_journal in
+              let v = Journal.verifier r.Checkpoint.r_journal in
               let report, _ =
                 E.run ~config ~faults
                   ~on_transition:(Journal.observe v)
-                  ~restore_from:r.Chain.r_snapshot g params ~requests:reqs
+                  ~restore_from:r.Checkpoint.r_snapshot g params ~requests:reqs
               in
               ( report = plain_report,
                 Result.is_ok (Journal.finish v),
-                List.length r.Chain.r_warnings )
-        in
-        let pct w =
-          if wall_plain <= 0. then 0.
-          else (w -. wall_plain) /. wall_plain *. 100.
+                List.length r.Checkpoint.r_warnings )
         in
         jobj
           [
             ("cadence_s", jfloat dt);
-            ("rebase_every", string_of_int 6);
-            ("full_cuts", string_of_int !full_cuts);
-            ("full_bytes", string_of_int !full_bytes);
-            ("full_wall_s", jfloat wall_full);
-            ("full_overhead_pct", jfloat (pct wall_full));
-            ("incr_cuts", string_of_int !incr_cuts);
-            ("incr_bytes", string_of_int !incr_bytes);
-            ("incr_wall_s", jfloat wall_incr);
-            ("incr_overhead_pct", jfloat (pct wall_incr));
-            ( "bytes_ratio",
-              jfloat
-                (if !incr_bytes = 0 then 0.
-                 else float_of_int !full_bytes /. float_of_int !incr_bytes) );
-            ("incr_restored_report_equal", string_of_bool restored_equal);
+            ("cuts", string_of_int (List.length !snaps));
+            ("bytes", string_of_int !bytes);
+            ("wall_s", jfloat wall);
+            ("overhead_pct", jfloat (pct wall));
+            ("sexp_ratio", jfloat sexp_ratio);
+            ("restored_report_equal", string_of_bool restored_equal);
             ("journal_replay_equal", string_of_bool replay_equal);
             ("recovery_warnings", string_of_int warnings);
           ])
   in
-  let incremental = List.map cadence_row [ 10.; 30. ] in
+  let cadence = List.map cadence_row [ 10.; 30. ] in
   jobj
     [
       ("requests", string_of_int wspec.W.requests);
@@ -1161,7 +1133,7 @@ let resilience_section () =
       ("snapshot_bytes", string_of_int !snapshot_bytes);
       ("wall_plain_s", jfloat wall_plain);
       ("wall_checkpointed_s", jfloat wall_ckpt);
-      ("checkpoint_overhead_pct", jfloat overhead_pct);
+      ("checkpoint_overhead_pct", jfloat (pct wall_ckpt));
       ( "checkpointed_report_equal",
         string_of_bool (ckpt_report = plain_report) );
       ( "drill_checkpoints",
@@ -1179,7 +1151,7 @@ let resilience_section () =
       ("reconfig_served", string_of_int reconfig_report.E.served);
       ( "reconfig_acceptance_ratio",
         jfloat reconfig_report.E.acceptance_ratio );
-      ("incremental", jarr incremental);
+      ("cadence", jarr cadence);
     ]
 
 let snapshot path =
@@ -1285,7 +1257,7 @@ let snapshot path =
   let doc =
     jobj
       [
-        ("schema", jstr "muerp-bench-snapshot/10");
+        ("schema", jstr "muerp-bench-snapshot/11");
         ("replications", string_of_int replications);
         ("methods", jarr methods);
         ("traffic", jarr traffic);

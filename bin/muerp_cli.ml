@@ -1073,7 +1073,7 @@ let traffic_run verbose seed users switches degree qubits q alpha topology
     retry_max max_queue max_inflight rate_limit burst budget flow_gate gap
     fail_on_sla fault_mtbf fault_mttr fault_targets fault_regional
     fault_radius recovery_name checkpoint_every checkpoint_file
-    checkpoint_mode journal_file restore_file reconfig_file halt_at
+    journal_file restore_file reconfig_file halt_at
     drill_every jobs slot show_outcomes metrics =
   apply_verbose verbose;
   metrics_begin metrics;
@@ -1093,27 +1093,9 @@ let traffic_run verbose seed users switches degree qubits q alpha topology
     prerr_endline "--halt-at requires --checkpoint-every";
     exit 1
   end;
-  let chain_cadence =
-    (* full = every cut is a self-contained snapshot; incr:K = deltas
-       against the previous cut, rebased to a full snapshot every K. *)
-    let bad () =
-      prerr_endline
-        "--checkpoint-mode must be `full' or `incr:K' with K >= 1 deltas \
-         per full-snapshot rebase";
-      exit 1
-    in
-    match checkpoint_mode with
-    | "full" -> None
-    | s when String.length s > 5 && String.sub s 0 5 = "incr:" -> (
-        match int_of_string_opt (String.sub s 5 (String.length s - 5)) with
-        | Some k when k >= 1 -> Some k
-        | _ -> bad ())
-    | _ -> bad ()
-  in
-  if journal_file <> None && chain_cadence = None then begin
-    (* The journal extends a delta chain; a full-only cadence has no
-       chain head for it to attach to. *)
-    prerr_endline "--journal requires --checkpoint-mode incr:K";
+  if journal_file <> None && checkpoint_every <= 0. && restore_file = None
+  then begin
+    prerr_endline "--journal requires --checkpoint-every or --restore";
     exit 1
   end;
   if
@@ -1121,8 +1103,8 @@ let traffic_run verbose seed users switches degree qubits q alpha topology
     && (checkpoint_every > 0. || restore_file <> None || halt_at >= 0.
        || journal_file <> None)
   then begin
-    (* The drill owns the checkpoint/restore cycle itself (and the
-       chain drill journals internally). *)
+    (* The drill owns the checkpoint/restore cycle itself, journal
+       included. *)
     prerr_endline
       "--drill cannot be combined with --checkpoint-every, --restore, \
        --halt-at or --journal";
@@ -1365,132 +1347,87 @@ let traffic_run verbose seed users switches degree qubits q alpha topology
                      (Qnet_online.Reconfig.to_sexp reconfig))))
       in
       if drill_every > 0. then begin
-        match chain_cadence with
-        | Some cadence ->
-            (* Incremental-chain drill: cut through a real chain writer
-               (base + deltas + journal on disk), crash into every
-               capture, recover and verify the journal replay. *)
-            let dir =
-              Filename.temp_dir "muerp-drill" ""
-            in
-            let drill =
-              try
-                with_jobs jobs (fun pool ->
-                    Qnet_resilience.Drill.chain_restore ~config ?faults
-                      ~reconfig ?pool ~slot ~every:drill_every ~cadence ~dir g
-                      params ~requests:reqs)
-              with Invalid_argument msg -> prerr_endline msg; exit 1
-            in
-            (try Sys.rmdir dir with Sys_error _ -> ());
-            Format.printf "%a@." Qnet_resilience.Drill.pp_chain drill;
-            metrics_report metrics;
-            exit (if Qnet_resilience.Drill.chain_passed drill then 0 else 1)
-        | None ->
-            (* Crash-recovery drill: checkpoint every --drill time
-               units, then simulate a crash at every instant and diff
-               the restored continuations against the uninterrupted
-               run. *)
-            let drill =
-              try
-                with_jobs jobs (fun pool ->
-                    Qnet_resilience.Drill.crash_restore ~config ?faults
-                      ~reconfig ?pool ~slot ~every:drill_every g params
-                      ~requests:reqs)
-              with Invalid_argument msg -> prerr_endline msg; exit 1
-            in
-            Format.printf "%a@." Qnet_resilience.Drill.pp drill;
-            metrics_report metrics;
-            exit (if Qnet_resilience.Drill.passed drill then 0 else 1)
+        (* Crash-recovery drill: cut every --drill time units through
+           real files, crash into every cut, recover and verify the
+           journal replay against the uninterrupted run. *)
+        let drill =
+          try
+            with_jobs jobs (fun pool ->
+                Qnet_resilience.Drill.crash_restore ~config ?faults ~reconfig
+                  ?pool ~slot ~every:drill_every g params ~requests:reqs)
+          with Invalid_argument msg -> prerr_endline msg; exit 1
+        in
+        Format.printf "%a@." Qnet_resilience.Drill.pp drill;
+        metrics_report metrics;
+        exit (if Qnet_resilience.Drill.passed drill then 0 else 1)
       end;
       let restore_from, replay_verifier =
         match restore_file with
         | None -> (None, None)
-        | Some path when chain_cadence <> None -> (
-            (* Incremental mode: walk the chain (base -> deltas),
-               tolerate a poisoned suffix, and pick up the journal tail
-               for replay verification. *)
+        | Some path -> (
+            (* Falls back to FILE.prev when the newest cut is bad, and
+               picks up the journal tail for replay verification. *)
             match
-              Qnet_resilience.Chain.recover ~path ~config:fingerprint
+              Qnet_resilience.Checkpoint.recover ~path ~config:fingerprint
                 ?journal:journal_file ()
             with
             | Ok r ->
                 List.iter
                   (fun w -> Printf.eprintf "warning: %s\n" w)
-                  r.Qnet_resilience.Chain.r_warnings;
-                Printf.printf
-                  "restored from %s (checkpoint at t=%g, %d delta(s) \
-                   applied, %d journal record(s) to verify)\n"
-                  path
+                  r.Qnet_resilience.Checkpoint.r_warnings;
+                Printf.printf "restored from %s (checkpoint at t=%g"
+                  r.Qnet_resilience.Checkpoint.r_path
                   (Qnet_online.Engine.snapshot_at
-                     r.Qnet_resilience.Chain.r_snapshot)
-                  r.Qnet_resilience.Chain.r_deltas_applied
-                  (List.length r.Qnet_resilience.Chain.r_journal);
-                ( Some r.Qnet_resilience.Chain.r_snapshot,
+                     r.Qnet_resilience.Checkpoint.r_snapshot);
+                if journal_file <> None then
+                  Printf.printf ", %d journal record(s) to verify"
+                    (List.length r.Qnet_resilience.Checkpoint.r_journal);
+                print_endline ")";
+                ( Some r.Qnet_resilience.Checkpoint.r_snapshot,
                   if journal_file <> None then
                     Some
                       (Qnet_resilience.Journal.verifier
-                         r.Qnet_resilience.Chain.r_journal)
+                         r.Qnet_resilience.Checkpoint.r_journal)
                   else None )
             | Error msg -> prerr_endline msg; exit 2)
-        | Some path -> (
-            match
-              Qnet_resilience.Checkpoint.load ~path ~config:fingerprint
-            with
-            | Ok snap ->
-                Printf.printf "restored from %s (checkpoint at t=%g)\n" path
-                  (Qnet_online.Engine.snapshot_at snap);
-                (Some snap, None)
-            | Error msg -> prerr_endline msg; exit 2)
       in
-      let chain_writer =
-        match chain_cadence with
-        | Some k when checkpoint_every > 0. ->
-            Some
-              (Qnet_resilience.Chain.create ~path:checkpoint_file
-                 ~config:fingerprint ~every:k ?journal:journal_file ())
-        | _ -> None
-      in
-      let checkpoint =
+      let writer =
         if checkpoint_every <= 0. then None
         else
           Some
+            (Qnet_resilience.Checkpoint.writer ~path:checkpoint_file
+               ~config:fingerprint ?journal:journal_file ())
+      in
+      let checkpoint =
+        Option.map
+          (fun w ->
             ( checkpoint_every,
               fun at snap ->
-                (match chain_writer with
-                | Some w -> (
-                    match Qnet_resilience.Chain.cut w snap with
-                    | Ok _ -> ()
-                    | Error msg -> prerr_endline msg; exit 2)
-                | None -> (
-                    match
-                      Qnet_resilience.Checkpoint.save ~path:checkpoint_file
-                        ~config:fingerprint snap
-                    with
-                    | Ok _ -> ()
-                    | Error msg -> prerr_endline msg; exit 2));
+                (match Qnet_resilience.Checkpoint.cut w snap with
+                | Ok _ -> ()
+                | Error msg -> prerr_endline msg; exit 2);
                 if halt_at >= 0. && at >= halt_at then begin
                   (* Flush the journal before the simulated crash: its
-                     records attest the transitions past this cut. *)
-                  Option.iter Qnet_resilience.Chain.close chain_writer;
+                     header attests the cut just written. *)
+                  Qnet_resilience.Checkpoint.close w;
                   Printf.printf
                     "halted at checkpoint t=%g (state saved to %s; resume \
                      with --restore %s)\n"
                     at checkpoint_file checkpoint_file;
                   exit 0
-                end )
+                end ))
+          writer
       in
       let on_transition =
-        match (chain_writer, replay_verifier) with
+        match (writer, replay_verifier) with
         | None, None -> None
         | w, v ->
             Some
               (fun tr ->
-                (match v with
-                | Some v -> Qnet_resilience.Journal.observe v tr
-                | None -> ());
-                match w with
-                | Some w -> Qnet_resilience.Chain.on_transition w tr
-                | None -> ())
+                Option.iter (fun v -> Qnet_resilience.Journal.observe v tr) v;
+                Option.iter
+                  (fun w -> Qnet_resilience.Checkpoint.on_transition w tr)
+                  w)
       in
       let report, outcomes =
         try
@@ -1504,7 +1441,7 @@ let traffic_run verbose seed users switches degree qubits q alpha topology
              matching this run — a file problem, not a flag problem. *)
           exit (if restore_from <> None then 2 else 1)
       in
-      Option.iter Qnet_resilience.Chain.close chain_writer;
+      Option.iter Qnet_resilience.Checkpoint.close writer;
       (match replay_verifier with
       | None -> ()
       | Some v -> (
@@ -1813,7 +1750,8 @@ let traffic_cmd =
   let checkpoint_every_t =
     let doc =
       "Cut a durable engine checkpoint every $(docv) time units (0 \
-       disables).  Each checkpoint atomically overwrites --checkpoint."
+       disables).  Each cut atomically replaces --checkpoint, keeping \
+       the previous one as FILE.prev."
     in
     Arg.(value & opt float 0. & info [ "checkpoint-every" ] ~docv:"DT" ~doc)
   in
@@ -1824,31 +1762,21 @@ let traffic_cmd =
       & opt string "muerp.ckpt"
       & info [ "checkpoint" ] ~docv:"FILE" ~doc)
   in
-  let checkpoint_mode_t =
-    let doc =
-      "Checkpoint strategy: $(b,full) rewrites a self-contained \
-       snapshot at every cut; $(b,incr:K) writes compact delta files \
-       chained to the last full snapshot, rebasing to a fresh full \
-       snapshot every $(i,K) deltas.  With --restore, $(b,incr:K) \
-       recovers by walking the chain, skipping any corrupt suffix."
-    in
-    Arg.(
-      value & opt string "full" & info [ "checkpoint-mode" ] ~docv:"MODE" ~doc)
-  in
   let journal_t =
     let doc =
-      "Write-ahead event journal path (requires --checkpoint-mode \
-       incr:K).  Every committed engine transition since the last cut \
-       is appended (fsync-batched); on --restore the recovered run is \
-       verified to re-emit the journal exactly."
+      "Write-ahead event journal path (with --checkpoint-every or \
+       --restore).  Every committed engine transition since the last \
+       cut is appended (fsync-batched); on --restore the recovered run \
+       is verified to re-emit the journal exactly."
     in
     Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"FILE" ~doc)
   in
   let restore_t =
     let doc =
       "Resume an interrupted run from a checkpoint file written under \
-       the same flags.  The continuation reproduces the uninterrupted \
-       run's report byte-for-byte."
+       the same flags, falling back to FILE.prev (with a warning) when \
+       the newest cut is damaged.  The continuation reproduces the \
+       uninterrupted run's report byte-for-byte."
     in
     Arg.(value & opt (some string) None & info [ "restore" ] ~docv:"FILE" ~doc)
   in
@@ -1872,14 +1800,11 @@ let traffic_cmd =
   in
   let drill_t =
     let doc =
-      "Run an in-process crash-recovery drill instead of a plain run: \
-       checkpoint every $(docv) time units, simulate a crash at every \
-       checkpoint instant, and diff each restored continuation against \
-       the uninterrupted run (0 disables; exits nonzero on any \
-       divergence).  With --checkpoint-mode incr:K the drill exercises \
-       the full incremental stack instead: real chain files on disk, \
-       recovery walks, and write-ahead journal replay at every crash \
-       point."
+      "Run a crash-recovery drill instead of a plain run: cut a \
+       checkpoint (and journal) to real files every $(docv) time units, \
+       crash into every cut, recover, verify the journal replay and \
+       diff each restored continuation against the uninterrupted run \
+       (0 disables; exits nonzero on any divergence)."
     in
     Arg.(value & opt float 0. & info [ "drill" ] ~docv:"DT" ~doc)
   in
@@ -1903,10 +1828,60 @@ let traffic_cmd =
       $ flow_gate_t $ gap_t
       $ fail_on_sla_t $ fault_mtbf_t $ fault_mttr_t $ fault_targets_t
       $ fault_regional_t $ fault_radius_t $ recovery_t
-      $ checkpoint_every_t $ checkpoint_file_t $ checkpoint_mode_t
-      $ journal_t $ restore_t
+      $ checkpoint_every_t $ checkpoint_file_t $ journal_t $ restore_t
       $ reconfig_file_t $ halt_at_t $ drill_t $ jobs_t $ slot_t
       $ outcomes_t $ metrics_t)
+
+(* ------------------------------------------------------------------ *)
+
+let inspect_run path =
+  let fail msg =
+    prerr_endline msg;
+    exit 2
+  in
+  let header =
+    try
+      let ic = open_in_bin path in
+      Fun.protect
+        ~finally:(fun () -> close_in_noerr ic)
+        (fun () -> try input_line ic with End_of_file -> "")
+    with Sys_error m -> fail ("cannot read " ^ m)
+  in
+  if String.starts_with ~prefix:"muerp-checkpoint" header then
+    match Qnet_resilience.Checkpoint.read ~path with
+    | Error m -> fail m
+    | Ok (config, snap) ->
+        Printf.printf "%s\nconfig: %s\n%s\n" header config
+          (Qnet_util.Sexp.to_string_hum
+             (Qnet_online.Engine.snapshot_to_sexp snap))
+  else if String.starts_with ~prefix:"muerp-journal" header then
+    match Qnet_resilience.Journal.read ~path with
+    | Error m -> fail m
+    | Ok c ->
+        Printf.printf "%s\nconfig: %s\nextends cut %s (ordinal %d)\n" header
+          c.Qnet_resilience.Journal.j_config c.Qnet_resilience.Journal.j_head
+          c.Qnet_resilience.Journal.j_index;
+        List.iter
+          (fun tr -> print_endline (Qnet_resilience.Journal.describe tr))
+          c.Qnet_resilience.Journal.j_records;
+        Option.iter
+          (fun w -> Printf.eprintf "warning: %s\n" w)
+          c.Qnet_resilience.Journal.j_torn
+  else fail (Printf.sprintf "%s is neither a muerp checkpoint nor a journal" path)
+
+let inspect_cmd =
+  let file_t =
+    let doc = "A checkpoint cut or a write-ahead journal." in
+    Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc)
+  in
+  let info =
+    Cmd.info "inspect"
+      ~doc:
+        "Print a checkpoint cut (header, config, snapshot as an \
+         s-expression) or a journal (header, one line per record); exit \
+         2 on anything else."
+  in
+  Cmd.v info Term.(const inspect_run $ file_t)
 
 (* ------------------------------------------------------------------ *)
 
@@ -1919,7 +1894,7 @@ let main =
     [
       solve_cmd; topology_cmd; experiment_cmd; simulate_cmd; sweep_cmd;
       dot_cmd; svg_cmd; fidelity_cmd; groups_cmd; reference_cmd; schedule_cmd;
-      traffic_cmd;
+      traffic_cmd; inspect_cmd;
     ]
 
 let () =

@@ -308,6 +308,9 @@ type transition =
 let snapshot_at s = s.s_at
 let snapshot_version = "muerp-engine-snapshot/2"
 
+(* The text view of a snapshot, for humans ([muerp inspect]); the
+   durable binary format lives in [Qnet_resilience.Checkpoint]. *)
+
 module Sexp = Qnet_util.Sexp
 
 let sx_bool b = Sexp.atom (if b then "true" else "false")
@@ -372,9 +375,6 @@ let dumped_to_sexp (name, d) =
 
 let fld name elts = Sexp.list (Sexp.atom name :: elts)
 
-(* Health and tier state serialise through shared field lists so the
-   incremental-checkpoint delta codec renders exactly the bytes the
-   full snapshot would. *)
 let health_fields h =
   let ints l = List.map Sexp.int l in
   let floats l = List.map Sexp.float l in
@@ -386,8 +386,6 @@ let health_fields h =
     fld "repairs" [ Sexp.int h.Fhealth.s_repairs ];
     fld "downtime" [ Sexp.float h.Fhealth.s_total_downtime ];
   ]
-
-let health_to_sexp h = Sexp.list (health_fields h)
 
 let tier_fields st =
   let ints l = List.map Sexp.int l in
@@ -405,8 +403,6 @@ let tier_fields st =
          (Array.to_list st.st_breakers));
     fld "last" [ Sexp.int st.st_last ];
   ]
-
-let tier_to_sexp st = Sexp.list (tier_fields st)
 
 let snapshot_to_sexp s =
   let pair (a, b) = Sexp.list [ Sexp.int a; Sexp.int b ] in
@@ -478,377 +474,6 @@ let snapshot_to_sexp s =
         | None -> []
         | Some d -> List.map dumped_to_sexp d);
     ]
-
-(* --- snapshot parsing (pure: graph/workload validation happens at
-   restore time inside [run], where both are in scope) --------------- *)
-
-let ( let* ) = Result.bind
-
-let map_result f l =
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | x :: rest ->
-        let* y = f x in
-        go (y :: acc) rest
-  in
-  go [] l
-
-let sx_to_bool = function
-  | Sexp.Atom "true" -> Ok true
-  | Sexp.Atom "false" -> Ok false
-  | _ -> Error "expected true or false"
-
-let sx_to_paths = function
-  | Sexp.List paths ->
-      map_result
-        (function
-          | Sexp.List vs -> map_result Sexp.to_int vs
-          | Sexp.Atom _ -> Error "expected a vertex path (list)")
-        paths
-  | Sexp.Atom _ -> Error "expected a path list"
-
-(* Field access by name over the document's element list.  Unlike
-   {!Sexp.field} this never unwraps single-element payloads, so list
-   fields with one entry stay lists. *)
-let sx_assoc fields name =
-  let rec find = function
-    | [] -> Error (Printf.sprintf "snapshot: missing field %s" name)
-    | Sexp.List (Sexp.Atom n :: rest) :: _ when n = name -> Ok rest
-    | _ :: tl -> find tl
-  in
-  find fields
-
-let sx_field1 fields name =
-  let* l = sx_assoc fields name in
-  match l with
-  | [ x ] -> Ok x
-  | _ -> Error (Printf.sprintf "snapshot: field %s expects one value" name)
-
-let sx_int_field fields name =
-  let* x = sx_field1 fields name in
-  Sexp.to_int x
-
-let sx_float_field fields name =
-  let* x = sx_field1 fields name in
-  Sexp.to_float x
-
-let sx_int_list l = map_result Sexp.to_int l
-let sx_float_list l = map_result Sexp.to_float l
-
-let sx_pair = function
-  | Sexp.List [ a; b ] ->
-      let* a = Sexp.to_int a in
-      let* b = Sexp.to_int b in
-      Ok (a, b)
-  | _ -> Error "expected an (int int) pair"
-
-let s_event_of_sexp = function
-  | Sexp.List [ Sexp.Atom "arrival"; id ] ->
-      let* id = Sexp.to_int id in
-      Ok (SE_arrival id)
-  | Sexp.List [ Sexp.Atom "retry"; id ] ->
-      let* id = Sexp.to_int id in
-      Ok (SE_retry id)
-  | Sexp.List [ Sexp.Atom "expiry"; lid ] ->
-      let* lid = Sexp.to_int lid in
-      Ok (SE_expiry lid)
-  | Sexp.List [ Sexp.Atom "fault"; t; el; up ] ->
-      let* time = Sexp.to_float t in
-      let* element =
-        match el with
-        | Sexp.List [ Sexp.Atom "link"; e ] ->
-            let* e = Sexp.to_int e in
-            Ok (Fsched.Link e)
-        | Sexp.List [ Sexp.Atom "switch"; v ] ->
-            let* v = Sexp.to_int v in
-            Ok (Fsched.Switch v)
-        | _ -> Error "malformed fault element"
-      in
-      let* up = sx_to_bool up in
-      Ok (SE_fault { Fsched.time; element; up })
-  | Sexp.List [ Sexp.Atom "reconfig"; t; c ] ->
-      let* time = Sexp.to_float t in
-      let* change = Reconfig.change_of_sexp c in
-      Ok (SE_reconf { Reconfig.time; change })
-  | _ -> Error "malformed pending event"
-
-let s_resolution_of_sexp = function
-  | Sexp.List
-      [ Sexp.Atom "served"; start; finish; rate; attempts; recoveries; tier;
-        paths ] ->
-      let* r_start = Sexp.to_float start in
-      let* r_finish = Sexp.to_float finish in
-      let* r_rate = Sexp.to_float rate in
-      let* r_attempts = Sexp.to_int attempts in
-      let* r_recoveries = Sexp.to_int recoveries in
-      let* r_tier = Sexp.to_int tier in
-      let* r_paths = sx_to_paths paths in
-      Ok
-        (SR_served
-           { r_start; r_finish; r_paths; r_rate; r_attempts; r_recoveries;
-             r_tier })
-  | Sexp.List [ Sexp.Atom "rejected"; at; qf ] ->
-      let* r_at = Sexp.to_float at in
-      let* r_queue_full = sx_to_bool qf in
-      Ok (SR_rejected { r_at; r_queue_full })
-  | Sexp.List [ Sexp.Atom "shed"; at; reason ] ->
-      let* r_at = Sexp.to_float at in
-      let* r_reason =
-        match reason with
-        | Sexp.Atom "rate" -> Ok Rate_limit
-        | Sexp.Atom "queue" -> Ok Queue_pressure
-        | _ -> Error "unknown shed reason"
-      in
-      Ok (SR_shed { r_at; r_reason })
-  | Sexp.List [ Sexp.Atom "expired"; at; attempts ] ->
-      let* r_at = Sexp.to_float at in
-      let* r_attempts = Sexp.to_int attempts in
-      Ok (SR_expired { r_at; r_attempts })
-  | Sexp.List [ Sexp.Atom "interrupted"; start; at; attempts; recoveries ] ->
-      let* r_start = Sexp.to_float start in
-      let* r_at = Sexp.to_float at in
-      let* r_attempts = Sexp.to_int attempts in
-      let* r_recoveries = Sexp.to_int recoveries in
-      Ok (SR_interrupted { r_start; r_at; r_attempts; r_recoveries })
-  | _ -> Error "malformed outcome resolution"
-
-let breaker_state_of_str = function
-  | "closed" -> Ok Breaker.Closed
-  | "open" -> Ok Breaker.Open
-  | "half-open" -> Ok Breaker.Half_open
-  | s -> Error ("unknown breaker state: " ^ s)
-
-let dumped_of_sexp = function
-  | Sexp.List [ Sexp.Atom name; Sexp.Atom "counter"; n ] ->
-      let* n = Sexp.to_int n in
-      Ok (name, Tm.D_counter n)
-  | Sexp.List [ Sexp.Atom name; Sexp.Atom "gauge"; v ] ->
-      let* v = Sexp.to_float v in
-      Ok (name, Tm.D_gauge v)
-  | Sexp.List
-      [ Sexp.Atom name; Sexp.Atom "hist"; n; sum; vmin; vmax;
-        Sexp.List counts ] ->
-      let* d_n = Sexp.to_int n in
-      let* d_sum = Sexp.to_float sum in
-      let* d_vmin = Sexp.to_float vmin in
-      let* d_vmax = Sexp.to_float vmax in
-      let* counts = sx_int_list counts in
-      Ok
-        ( name,
-          Tm.D_histogram
-            { Tm.d_n; d_sum; d_vmin; d_vmax; d_counts = Array.of_list counts }
-        )
-  | _ -> Error "malformed metric dump entry"
-
-let health_of_fields hf =
-  let* ld = sx_assoc hf "link-down" in
-  let* s_link_down = sx_int_list ld in
-  let* sd = sx_assoc hf "switch-down" in
-  let* s_switch_down = sx_int_list sd in
-  let* ls = sx_assoc hf "link-since" in
-  let* s_link_since = sx_float_list ls in
-  let* ss = sx_assoc hf "switch-since" in
-  let* s_switch_since = sx_float_list ss in
-  let* s_repairs = sx_int_field hf "repairs" in
-  let* s_total_downtime = sx_float_field hf "downtime" in
-  Ok
-    {
-      Fhealth.s_link_down = Array.of_list s_link_down;
-      s_switch_down = Array.of_list s_switch_down;
-      s_link_since = Array.of_list s_link_since;
-      s_switch_since = Array.of_list s_switch_since;
-      s_repairs;
-      s_total_downtime;
-    }
-
-let health_of_sexp = function
-  | Sexp.List hf -> health_of_fields hf
-  | Sexp.Atom _ -> Error "malformed health state"
-
-let tier_of_fields tf =
-  let* serves = sx_assoc tf "serves" in
-  let* st_serves = sx_int_list serves in
-  let* exhaustions = sx_assoc tf "exhaustions" in
-  let* st_exhaustions = sx_int_list exhaustions in
-  let* vr = sx_assoc tf "verify-rejects" in
-  let* st_verify_rejects = sx_int_list vr in
-  let* bsk = sx_assoc tf "breaker-skips" in
-  let* st_breaker_skips = sx_int_list bsk in
-  let* breakers = sx_assoc tf "breakers" in
-  let* st_breakers =
-    map_result
-      (function
-        | Sexp.List [ Sexp.Atom state; cf; cd; op ] ->
-            let* bs = breaker_state_of_str state in
-            let* cf = Sexp.to_int cf in
-            let* cd = Sexp.to_int cd in
-            let* op = Sexp.to_int op in
-            Ok (bs, cf, cd, op)
-        | _ -> Error "malformed breaker state")
-      breakers
-  in
-  let* st_last = sx_int_field tf "last" in
-  Ok
-    {
-      st_serves = Array.of_list st_serves;
-      st_exhaustions = Array.of_list st_exhaustions;
-      st_verify_rejects = Array.of_list st_verify_rejects;
-      st_breaker_skips = Array.of_list st_breaker_skips;
-      st_breakers = Array.of_list st_breakers;
-      st_last;
-    }
-
-let tier_of_sexp = function
-  | Sexp.List tf -> tier_of_fields tf
-  | Sexp.Atom _ -> Error "malformed tier state"
-
-let snapshot_of_sexp doc =
-  match doc with
-  | Sexp.List (Sexp.Atom v :: fields) when v = snapshot_version ->
-      let* s_at = sx_float_field fields "at" in
-      let* s_next_ckpt = sx_float_field fields "next-ckpt" in
-      let* s_next_seq = sx_int_field fields "next-seq" in
-      let* s_next_lease = sx_int_field fields "next-lease" in
-      let* events = sx_assoc fields "events" in
-      let* s_events =
-        map_result
-          (function
-            | Sexp.List [ t; seq; ev ] ->
-                let* t = Sexp.to_float t in
-                let* seq = Sexp.to_int seq in
-                let* ev = s_event_of_sexp ev in
-                Ok (t, seq, ev)
-            | _ -> Error "malformed pending-event entry")
-          events
-      in
-      let* states = sx_assoc fields "states" in
-      let* s_states =
-        map_result
-          (function
-            | Sexp.List [ id; attempts; backoff; waiting; resolved ] ->
-                let* ss_id = Sexp.to_int id in
-                let* ss_attempts = Sexp.to_int attempts in
-                let* ss_backoff = Sexp.to_float backoff in
-                let* ss_waiting = sx_to_bool waiting in
-                let* ss_resolved = sx_to_bool resolved in
-                Ok { ss_id; ss_attempts; ss_backoff; ss_waiting; ss_resolved }
-            | _ -> Error "malformed request-state entry")
-          states
-      in
-      let* queue = sx_assoc fields "queue" in
-      let* s_queue = sx_int_list queue in
-      let* active = sx_assoc fields "active" in
-      let* s_active =
-        map_result
-          (function
-            | Sexp.List
-                [ lid; id; started; finish; recoveries; tier; paths ] ->
-                let* sa_lid = Sexp.to_int lid in
-                let* sa_id = Sexp.to_int id in
-                let* sa_started = Sexp.to_float started in
-                let* sa_finish = Sexp.to_float finish in
-                let* sa_recoveries = Sexp.to_int recoveries in
-                let* sa_tier = Sexp.to_int tier in
-                let* sa_paths = sx_to_paths paths in
-                Ok
-                  { sa_lid; sa_id; sa_paths; sa_started; sa_finish;
-                    sa_recoveries; sa_tier }
-            | _ -> Error "malformed active-lease entry")
-          active
-      in
-      let* outcomes = sx_assoc fields "outcomes" in
-      let* s_outcomes =
-        map_result
-          (function
-            | Sexp.List [ id; res ] ->
-                let* id = Sexp.to_int id in
-                let* res = s_resolution_of_sexp res in
-                Ok (id, res)
-            | _ -> Error "malformed outcome entry")
-          outcomes
-      in
-      let* quota = sx_assoc fields "quota" in
-      let* s_quota = map_result sx_pair quota in
-      let* residual = sx_assoc fields "residual" in
-      let* s_residual = map_result sx_pair residual in
-      let* s_shed_total = sx_int_field fields "shed" in
-      let* s_gate_rejected = sx_int_field fields "gate-rejected" in
-      let* s_budget_exhaustions = sx_int_field fields "budget-exhaustions" in
-      let* s_peak_qubits = sx_int_field fields "peak-qubits" in
-      let* s_peak_queue = sx_int_field fields "peak-queue" in
-      let* s_retries = sx_int_field fields "retries" in
-      let* s_util_integral = sx_float_field fields "util-integral" in
-      let* s_last_time = sx_float_field fields "last-time" in
-      let* s_makespan = sx_float_field fields "makespan" in
-      let* s_faults_injected = sx_int_field fields "faults-injected" in
-      let* s_faults_repaired = sx_int_field fields "faults-repaired" in
-      let* s_leases_interrupted = sx_int_field fields "interrupted" in
-      let* s_leases_recovered = sx_int_field fields "recovered" in
-      let* s_leases_aborted = sx_int_field fields "aborted" in
-      let* s_lost_service = sx_float_field fields "lost-service" in
-      let* s_reconfig_applied = sx_int_field fields "reconfig-applied" in
-      let* s_reconfig_recovered = sx_int_field fields "reconfig-recovered" in
-      let* limiter = sx_assoc fields "limiter" in
-      let* s_limiter =
-        match limiter with
-        | [] -> Ok None
-        | [ tokens; last ] ->
-            let* tokens = Sexp.to_float tokens in
-            let* last = Sexp.to_float last in
-            Ok (Some (tokens, last))
-        | _ -> Error "malformed limiter state"
-      in
-      let* health = sx_assoc fields "health" in
-      let* s_health =
-        match health with
-        | [] -> Ok None
-        | hf ->
-            let* h = health_of_fields hf in
-            Ok (Some h)
-      in
-      let* tier = sx_assoc fields "tier" in
-      let* s_tier =
-        match tier with
-        | [] -> Ok None
-        | tf ->
-            let* t = tier_of_fields tf in
-            Ok (Some t)
-      in
-      let* policy = sx_assoc fields "policy" in
-      let* s_policy =
-        match policy with
-        | [] -> Ok None
-        | [ doc ] -> Ok (Some doc)
-        | _ -> Error "malformed policy-state section"
-      in
-      let* metrics = sx_assoc fields "metrics" in
-      let* s_metrics =
-        match metrics with
-        | [] -> Ok None
-        | entries ->
-            let* d = map_result dumped_of_sexp entries in
-            Ok (Some d)
-      in
-      Ok
-        {
-          s_at; s_next_ckpt; s_events; s_next_seq; s_states; s_queue;
-          s_active; s_outcomes; s_next_lease; s_quota; s_residual;
-          s_shed_total; s_gate_rejected; s_budget_exhaustions; s_peak_qubits;
-          s_peak_queue; s_retries; s_util_integral; s_last_time; s_makespan;
-          s_faults_injected; s_faults_repaired; s_leases_interrupted;
-          s_leases_recovered; s_leases_aborted; s_lost_service;
-          s_reconfig_applied; s_reconfig_recovered; s_limiter; s_health;
-          s_tier; s_policy; s_metrics;
-        }
-  | Sexp.List (Sexp.Atom v :: _)
-    when String.length v > 20 && String.sub v 0 20 = "muerp-engine-snapsho" ->
-      Error
-        (Printf.sprintf "unsupported snapshot version %s (this build reads %s)"
-           v snapshot_version)
-  | _ ->
-      Error
-        ("malformed snapshot document (expected (" ^ snapshot_version
-       ^ " ...))")
 
 (* ------------------------------------------------------------------ *)
 

@@ -236,18 +236,15 @@ type report = {
     flags) continues the run to a report byte-identical to the
     uninterrupted one, at every [--jobs] level and [slot] window.
 
-    The record and its component types are concrete so the incremental-
-    checkpoint delta codec ({!Qnet_resilience.Delta}) can diff
-    consecutive snapshots field by field; treat them as read-only data
-    — a hand-built snapshot that lies about capacity accounting is
-    rejected at restore time, not silently trusted.
-
-    Snapshots serialise to a versioned s-expression
-    ([muerp-engine-snapshot/2]); {!snapshot_of_sexp} is a pure parse —
-    graph/workload consistency is validated inside {!run} at restore
-    time, which raises [Invalid_argument] with a reason naming the
-    mismatch (wrong workload, wrong network, different flags, corrupt
-    capacity accounting). *)
+    The record and its component types are concrete so the checkpoint
+    codec ({!Qnet_resilience.Checkpoint}), the only module that knows
+    the on-disk format, can encode them field by field; treat them as
+    read-only data.  Decoding is pure: graph/workload consistency is
+    validated inside {!run} at restore time, which raises
+    [Invalid_argument] with a reason naming the mismatch (wrong
+    workload, wrong network, different flags, corrupt capacity
+    accounting) — a hand-built snapshot that lies about capacity
+    accounting is rejected there, not silently trusted. *)
 
 (** A pending event, with request/lease bodies referenced by id (a
     restore replays the original workload, so ids resolve against the
@@ -350,38 +347,12 @@ val snapshot_at : snapshot -> float
 (** The simulation instant the snapshot was cut at. *)
 
 val snapshot_version : string
-(** The serialisation tag, [muerp-engine-snapshot/2]. *)
+(** The tag heading the text view, [muerp-engine-snapshot/2]. *)
 
 val snapshot_to_sexp : snapshot -> Qnet_util.Sexp.t
-
-val snapshot_of_sexp : Qnet_util.Sexp.t -> (snapshot, string) result
-(** Structural parse; rejects unknown versions and malformed documents
-    with a human-readable reason. *)
-
-(** {2 Element codecs}
-
-    The per-element serialisers behind {!snapshot_to_sexp}, exported so
-    the incremental-checkpoint delta codec renders exactly the same
-    bytes for the entries it carries. *)
-
-val s_event_to_sexp : s_event -> Qnet_util.Sexp.t
-val s_event_of_sexp : Qnet_util.Sexp.t -> (s_event, string) result
-val s_resolution_to_sexp : s_resolution -> Qnet_util.Sexp.t
-val s_resolution_of_sexp : Qnet_util.Sexp.t -> (s_resolution, string) result
-
-val dumped_to_sexp :
-  string * Qnet_telemetry.Metrics.dumped -> Qnet_util.Sexp.t
-
-val dumped_of_sexp :
-  Qnet_util.Sexp.t -> (string * Qnet_telemetry.Metrics.dumped, string) result
-
-val health_to_sexp : Qnet_faults.Health.snapshot -> Qnet_util.Sexp.t
-
-val health_of_sexp :
-  Qnet_util.Sexp.t -> (Qnet_faults.Health.snapshot, string) result
-
-val tier_to_sexp : s_tier -> Qnet_util.Sexp.t
-val tier_of_sexp : Qnet_util.Sexp.t -> (s_tier, string) result
+(** A one-way, human-readable rendering of every field (what
+    [muerp inspect] prints).  Durable cuts use the binary codec in
+    {!Qnet_resilience.Checkpoint}; there is no parser for this view. *)
 
 (** {1 Committed transitions}
 

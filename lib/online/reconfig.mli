@@ -46,5 +46,4 @@ val of_sexp : Qnet_util.Sexp.t -> (event list, string) result
     events with a human-readable reason. *)
 
 val change_to_sexp : change -> Qnet_util.Sexp.t
-val change_of_sexp : Qnet_util.Sexp.t -> (change, string) result
 val pp_change : Format.formatter -> change -> unit

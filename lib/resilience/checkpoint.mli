@@ -1,63 +1,101 @@
-(** Durable checkpoint files for the online traffic engine.
+(** Durable checkpoint cuts for the online traffic engine — the one
+    module that knows the on-disk snapshot format.
 
-    Wraps {!Qnet_online.Engine.snapshot_to_sexp} in a crash-safe file
-    format: a version header, the caller's config fingerprint, the
-    snapshot document, and an integrity footer (MD5 + byte length) over
-    everything before it.  Writes are atomic (tmp file + rename) and
-    {e streamed} — the snapshot is rendered straight to the file and
-    digested by re-reading it, so a checkpoint of a 100k-switch network
-    never materialises as one in-memory string.  The footer catches the
-    corruption cases atomic publishing cannot — torn copies,
-    truncation, bit rot — before any parsing, and {!load} turns every
-    failure mode into a human-readable error naming the file and the
-    reason (never a backtrace).
+    A cut file ([muerp-checkpoint/2]) is a version header line, a
+    config line carrying the caller's fingerprint, the binary snapshot
+    body ({!Qnet_telemetry.Wire} varints, raw float bits, counted
+    lists) and an integrity footer (MD5 + byte length) over everything
+    before it.  The footer catches torn copies, truncation and bit rot
+    before any decoding, and the decoder itself is total, so every
+    failure surfaces as a human-readable error naming the file — never
+    a backtrace.
 
-    The footer digest is also the file's {e identity}: the incremental
-    checkpoint chain ({!Chain}) links each delta file to its parent by
-    quoting the parent's digest, which is why the writers return it. *)
+    {!save} is durable and atomic: it fsyncs the tmp file, renames the
+    previous cut to [FILE.prev], renames the tmp file to [FILE] and
+    fsyncs the directory.  {!recover} tries [FILE], then [FILE.prev].
+    The footer digest is the cut's identity: the write-ahead {!Journal}
+    quotes it to name the cut it extends. *)
 
 val version : string
-(** The file-format tag, [muerp-checkpoint/1]. *)
+(** The file-format tag, [muerp-checkpoint/2]. *)
+
+val prev_path : string -> string
+(** [FILE.prev], where {!save} keeps the cut before the newest. *)
+
+(** {1 Snapshot codec} *)
+
+val encode : Qnet_online.Engine.snapshot -> string
+(** The binary snapshot body. *)
+
+val decode : string -> (Qnet_online.Engine.snapshot, string) result
+(** Inverse of {!encode}, structurally exact (float bits included).
+    Total: truncated input, unknown tags and trailing bytes give
+    [Error], never an exception. *)
+
+(** {1 Files} *)
 
 val save :
   path:string ->
   config:string ->
   Qnet_online.Engine.snapshot ->
   (string, string) result
-(** Write the snapshot to [path] atomically; [Ok digest] is the
-    integrity-footer MD5 (the file's chain identity).  [config] is an
-    opaque fingerprint of the run-shaping flags (seed, policy,
-    workload…); {!load} refuses a file whose fingerprint differs,
-    because a restore only reproduces the uninterrupted run under
-    identical inputs. *)
+(** Write a cut to [path] durably, keeping the previous one as
+    [path.prev]; [Ok digest] is the integrity-footer MD5 (the cut's
+    identity).  [config] is an opaque fingerprint of the run-shaping
+    flags (seed, policy, workload…); {!load} refuses a file whose
+    fingerprint differs, because a restore only reproduces the
+    uninterrupted run under identical inputs. *)
 
 val load :
   path:string -> config:string -> (Qnet_online.Engine.snapshot, string) result
-(** Read, verify and parse a checkpoint.  Errors (all naming [path]):
+(** Read, verify and decode one cut.  Errors (all naming [path]):
     unreadable file, empty/truncated/torn contents, checksum mismatch,
     unsupported format version, config fingerprint mismatch, malformed
-    snapshot document. *)
+    snapshot body. *)
 
-val load_verified :
+val read :
+  path:string -> (string * Qnet_online.Engine.snapshot, string) result
+(** {!load} without the fingerprint check: the config string written
+    into the file and the snapshot (what [muerp inspect] shows). *)
+
+(** {1 Cutting with a journal} *)
+
+type writer
+
+val writer : path:string -> config:string -> ?journal:string -> unit -> writer
+(** Cuts to [path]; with [journal], a {!Journal} at that path is
+    restarted after every cut, chained to the cut just written. *)
+
+val cut : writer -> Qnet_online.Engine.snapshot -> (string, string) result
+(** {!save} one cut, then restart the journal; [Ok digest]. *)
+
+val on_transition : writer -> Qnet_online.Engine.transition -> unit
+(** Feed for [Engine.run ?on_transition]: appends to the live journal.
+    A no-op without [journal], and before the first cut (there is no
+    durable state to extend yet). *)
+
+val close : writer -> unit
+(** Flush and close the journal, if any.  Cuts are already durable. *)
+
+(** {1 Recovery} *)
+
+type recovered = {
+  r_snapshot : Qnet_online.Engine.snapshot;
+  r_path : string;  (** [path], or [path.prev] when [path] failed. *)
+  r_warnings : string list;
+      (** One per skipped or ignored file — a bad newest cut, a stale or
+          torn journal.  Callers print these; they are never fatal. *)
+  r_journal : Qnet_online.Engine.transition list;
+      (** Journal records extending [r_snapshot], for replay
+          verification; empty when absent, stale or unusable. *)
+}
+
+val recover :
   path:string ->
   config:string ->
-  (Qnet_online.Engine.snapshot * string, string) result
-(** {!load}, also returning the verified footer digest — what a chain
-    walk compares against the next delta's [parent] link. *)
-
-(** {1 Footer-framed files}
-
-    The shared substrate for every chain file kind (full checkpoints,
-    deltas): a text body followed by the [integrity <md5> <len>]
-    footer, written atomically via tmp + rename. *)
-
-val write_with_footer :
-  path:string -> (out_channel -> unit) -> (string, string) result
-(** Stream a body to [path] (tmp + rename), appending the integrity
-    footer; [Ok digest] on success.  The body must end with a newline
-    so the footer starts a fresh line. *)
-
-val read_with_footer : path:string -> (string * string, string) result
-(** Read [path] and verify its footer; [Ok (body, digest)].  Rejects
-    files that do not start with the [muerp-checkpoint] magic, so a
-    random file is named for what it is rather than called torn. *)
+  ?journal:string ->
+  unit ->
+  (recovered, string) result
+(** Load [path], falling back to [path.prev] with a warning.  The
+    journal's records are returned only when its head digest names the
+    cut that was loaded.  [Error] only when neither cut loads. *)

@@ -2,99 +2,33 @@ module Engine = Qnet_online.Engine
 module Table = Qnet_util.Table
 
 (* Crash-recovery drill: run a workload to completion while cutting
-   checkpoints, then simulate a crash at every checkpoint instant —
-   serialise the snapshot, parse it back (the restored process only
-   ever has the bytes), restore, and finish the run.  Every restored
-   continuation must reproduce the uninterrupted run's report table
-   byte-for-byte and its outcome list structurally; anything else is a
-   determinism bug worth failing loudly over. *)
+   checkpoints through a real Checkpoint writer (cut, FILE.prev and
+   write-ahead journal on disk), capture the byte-exact file set just
+   before and just after every cut and once at run end, then "crash"
+   into every capture: write the files back, recover with
+   Checkpoint.recover, and finish the run under the journal verifier.
+
+   Determinism gives one pass criterion that survives corruption: a
+   restore from ANY valid cut — the newest, or FILE.prev after the
+   newest was lost — completes to the same final report.  So every
+   crash point must either complete byte-identically (with the journal
+   fully re-emitted) or, under injection, degrade to a friendly
+   [Error].  An exception anywhere is a failure. *)
+
+type injection = Torn_write of int | Bit_flip of int
 
 type t = {
-  checkpoints : int;  (* snapshots cut by the uninterrupted run *)
-  mismatches : (float * string) list;
-      (* (instant, reason) for every restore that diverged *)
+  checkpoints : int;
+  captures : int;
+  mismatches : (int * string) list;
+  degraded : int;
 }
 
 let passed d = d.mismatches = []
 
-let crash_restore ?config ?faults ?fault_schedule ?reconfig ?pool ?slot ~every
-    g params ~requests =
-  let snaps = ref [] in
-  let sink at snap = snaps := (at, snap) :: !snaps in
-  let base_report, base_outcomes =
-    Engine.run ?config ?faults ?fault_schedule ?reconfig ?pool ?slot
-      ~checkpoint:(every, sink) g params ~requests
-  in
-  let base_table = Table.to_string (Engine.report_table base_report) in
-  let mismatches =
-    List.filter_map
-      (fun (at, snap) ->
-        (* Round-trip through the serialised form: a crash leaves only
-           bytes behind, so the drill must restore from a parse, not
-           from the in-memory snapshot. *)
-        match Engine.snapshot_of_sexp (Engine.snapshot_to_sexp snap) with
-        | Error m -> Some (at, "snapshot does not re-parse: " ^ m)
-        | Ok snap -> (
-            match
-              Engine.run ?config ?faults ?fault_schedule ?reconfig ?pool ?slot
-                ~restore_from:snap g params ~requests
-            with
-            | exception Invalid_argument m ->
-                Some (at, "restore refused: " ^ m)
-            | report, outcomes ->
-                if
-                  not
-                    (String.equal
-                       (Table.to_string (Engine.report_table report))
-                       base_table)
-                then Some (at, "restored report differs")
-                else if compare outcomes base_outcomes <> 0 then
-                  Some (at, "restored outcomes differ")
-                else None))
-      (List.rev !snaps)
-  in
-  { checkpoints = List.length !snaps; mismatches }
-
-(* --- incremental-chain drill --------------------------------------- *)
-
-(* The chain drill exercises the full durability stack: the run cuts
-   through a real Chain writer (base + deltas + journal on disk), the
-   drill captures the byte-exact file set after every cut (and once at
-   run end, when the journal holds the tail), and each capture is
-   "crashed into" — files written back, recovered via Chain.recover,
-   the continuation re-run under the journal verifier.
-
-   Determinism gives the drill a single pass criterion that survives
-   corruption: a restore from ANY valid state — the newest, or an
-   earlier one recovery fell back to after skipping a poisoned suffix —
-   completes to the same final report.  So for every capture, injected
-   or not: recovery must either produce a byte-identical completion
-   (with the journal fully re-emitted), or degrade to a friendly
-   [Error].  An exception anywhere is a failure. *)
-
-type injection =
-  | Torn_write of int
-      (* truncate the newest file of the capture by N bytes — the
-         mid-write crash *)
-  | Bit_flip of int
-      (* flip bit N of the middle file — silent media corruption *)
-
-type chain_t = {
-  chain_cuts : int;  (* cuts performed by the uninterrupted run *)
-  chain_captures : int;  (* crash points exercised *)
-  chain_errors : (int * string) list;  (* (capture, reason) failures *)
-  chain_degraded : int;
-      (* injected captures that recovered to an earlier state or a
-         friendly error instead of the newest state — expected under
-         injection, counted for reporting *)
-}
-
-let chain_passed d = d.chain_errors = []
-
 let read_bytes path =
   let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let data = really_input_string ic n in
+  let data = really_input_string ic (in_channel_length ic) in
   close_in ic;
   data
 
@@ -103,159 +37,128 @@ let write_bytes path data =
   output_string oc data;
   close_out oc
 
-(* Every on-disk artefact of the chain rooted at [root], in chain
-   order: base, d1..dN, journal. *)
-let capture_chain root =
-  let files = ref [] in
-  if Sys.file_exists root then files := [ (root, read_bytes root) ];
-  let rec deltas i =
-    let p = Chain.delta_path root i in
-    if Sys.file_exists p then begin
-      files := (p, read_bytes p) :: !files;
-      deltas (i + 1)
-    end
-  in
-  deltas 1;
-  let j = Chain.journal_path root in
-  if Sys.file_exists j then files := (j, read_bytes j) :: !files;
-  List.rev !files
-
-let clear_chain root =
-  let dir = Filename.dirname root and stem = Filename.basename root in
+let clear_dir dir =
   Array.iter
-    (fun name ->
-      if
-        String.length name >= String.length stem
-        && String.sub name 0 (String.length stem) = stem
-      then try Sys.remove (Filename.concat dir name) with Sys_error _ -> ())
+    (fun n -> try Sys.remove (Filename.concat dir n) with Sys_error _ -> ())
     (try Sys.readdir dir with Sys_error _ -> [||])
 
-let inject_into files = function
-  | None -> files
-  | Some (Torn_write n) -> (
-      match List.rev files with
-      | [] -> files
-      | (path, data) :: older ->
-          let keep = max 0 (String.length data - n) in
-          List.rev ((path, String.sub data 0 keep) :: older))
-  | Some (Bit_flip bit) -> (
-      match files with
-      | [] -> files
-      | _ ->
-          let target = List.length files / 2 in
-          List.mapi
-            (fun i ((path, data) as f) ->
-              if i <> target || String.length data = 0 then f
-              else begin
-                let b = Bytes.of_string data in
-                let bit = bit mod (8 * Bytes.length b) in
-                let byte = bit / 8 and shift = bit mod 8 in
-                Bytes.set b byte
-                  (Char.chr (Char.code (Bytes.get b byte) lxor (1 lsl shift)));
-                (path, Bytes.to_string b)
-              end)
-            files)
+(* The newest cut of a capture, damaged as the injection says. *)
+let inject data = function
+  | Torn_write n -> String.sub data 0 (max 0 (String.length data - n))
+  | Bit_flip bit when data <> "" ->
+      let b = Bytes.of_string data in
+      let bit = bit mod (8 * Bytes.length b) in
+      let i = bit / 8 in
+      Bytes.set b i
+        (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl (bit mod 8))));
+      Bytes.to_string b
+  | Bit_flip _ -> data
 
-let chain_restore ?config ?faults ?fault_schedule ?reconfig ?pool ?slot
-    ?inject ~every ~cadence ~dir g params ~requests =
-  let root = Filename.concat dir "chain.ckpt" in
-  let jpath = Chain.journal_path root in
+let crash_restore ?config ?faults ?fault_schedule ?reconfig ?pool ?slot
+    ?inject:injection ~every g params ~requests =
+  let dir = Filename.temp_dir "muerp-drill" "" in
+  let path = Filename.concat dir "drill.ckpt" in
+  let jpath = Filename.concat dir "drill.journal" in
   let fingerprint = "drill" in
-  clear_chain root;
-  let writer =
-    Chain.create ~path:root ~config:fingerprint ~every:cadence ~journal:jpath
-      ()
+  let files = [ path; Checkpoint.prev_path path; jpath ] in
+  let capture () =
+    List.filter_map
+      (fun p -> if Sys.file_exists p then Some (p, read_bytes p) else None)
+      files
   in
-  let captures = ref [] in
-  let cut_errors = ref [] in
-  let cuts = ref 0 in
-  let sink _at snap =
-    incr cuts;
-    match Chain.cut writer snap with
-    | Error m -> cut_errors := (!cuts, "cut failed: " ^ m) :: !cut_errors
-    | Ok _ -> captures := capture_chain root :: !captures
-  in
-  let base_report, base_outcomes =
-    Engine.run ?config ?faults ?fault_schedule ?reconfig ?pool ?slot
-      ~on_transition:(Chain.on_transition writer) ~checkpoint:(every, sink) g
-      params ~requests
-  in
-  Chain.close writer;
-  (* One more crash point at run end, where the journal carries every
-     transition since the last cut. *)
-  captures := capture_chain root :: !captures;
-  let captures = List.rev !captures in
-  let base_table = Table.to_string (Engine.report_table base_report) in
-  let degraded = ref 0 in
-  let errors = ref (List.rev !cut_errors) in
-  List.iteri
-    (fun i files ->
-      let fail reason = errors := !errors @ [ (i + 1, reason) ] in
-      clear_chain root;
-      List.iter (fun (path, data) -> write_bytes path data) (inject_into files inject);
-      match Chain.recover ~path:root ~config:fingerprint ~journal:jpath () with
-      | exception e ->
-          fail ("recovery raised " ^ Printexc.to_string e
+  Fun.protect
+    ~finally:(fun () ->
+      clear_dir dir;
+      try Sys.rmdir dir with Sys_error _ -> ())
+    (fun () ->
+      let writer = Checkpoint.writer ~path ~config:fingerprint ~journal:jpath () in
+      let captures = ref [] and errors = ref [] and cuts = ref 0 in
+      let sink _at snap =
+        (* A crash point just before each cut too, while the journal
+           holds every transition since the previous one. *)
+        if !cuts > 0 then captures := capture () :: !captures;
+        incr cuts;
+        match Checkpoint.cut writer snap with
+        | Ok _ -> captures := capture () :: !captures
+        | Error m -> errors := (!cuts, "cut failed: " ^ m) :: !errors
+      in
+      let run ?on_transition ?checkpoint ?restore_from () =
+        Engine.run ?config ?faults ?fault_schedule ?reconfig ?pool ?slot
+          ?on_transition ?checkpoint ?restore_from g params ~requests
+      in
+      let base_report, base_outcomes =
+        run ~on_transition:(Checkpoint.on_transition writer)
+          ~checkpoint:(every, sink) ()
+      in
+      Checkpoint.close writer;
+      (* One more crash point at run end, where the journal carries every
+         transition since the last cut. *)
+      let captures = List.rev (capture () :: !captures) in
+      let base_table = Table.to_string (Engine.report_table base_report) in
+      let degraded = ref 0 in
+      List.iteri
+        (fun i capture ->
+          let fail reason = errors := (i + 1, reason) :: !errors in
+          clear_dir dir;
+          List.iter
+            (fun (p, data) ->
+              match injection with
+              | Some inj when p = path -> write_bytes p (inject data inj)
+              | _ -> write_bytes p data)
+            capture;
+          match Checkpoint.recover ~path ~config:fingerprint ~journal:jpath () with
+          | exception e ->
+              fail
+                ("recovery raised " ^ Printexc.to_string e
                ^ " (must degrade to an error, never a backtrace)")
-      | Error m ->
-          if inject = None then fail ("recovery failed on a clean chain: " ^ m)
-          else if String.trim m = "" then fail "recovery error has no message"
-          else incr degraded
-      | Ok r -> (
-          if inject <> None && (r.Chain.r_warnings <> [] || r.Chain.r_index = 0)
-          then incr degraded;
-          let v = Journal.verifier r.Chain.r_journal in
-          match
-            Engine.run ?config ?faults ?fault_schedule ?reconfig ?pool ?slot
-              ~on_transition:(Journal.observe v)
-              ~restore_from:r.Chain.r_snapshot g params ~requests
-          with
-          | exception Invalid_argument m -> fail ("restore refused: " ^ m)
-          | report, outcomes -> (
-              if
-                not
-                  (String.equal
-                     (Table.to_string (Engine.report_table report))
-                     base_table)
-              then fail "restored report differs"
-              else if compare outcomes base_outcomes <> 0 then
-                fail "restored outcomes differ"
-              else
-                match Journal.finish v with
-                | Ok _ -> ()
-                | Error m -> fail ("journal replay: " ^ m))))
-    captures;
-  clear_chain root;
-  {
-    chain_cuts = !cuts;
-    chain_captures = List.length captures;
-    chain_errors = !errors;
-    chain_degraded = !degraded;
-  }
-
-let pp_chain ppf d =
-  if chain_passed d then
-    Format.fprintf ppf
-      "chain drill passed: %d cut(s), %d crash point(s), %d degraded \
-       gracefully"
-      d.chain_cuts d.chain_captures d.chain_degraded
-  else begin
-    Format.fprintf ppf "chain drill FAILED: %d of %d crash point(s) diverged"
-      (List.length d.chain_errors)
-      d.chain_captures;
-    List.iter
-      (fun (i, reason) -> Format.fprintf ppf "@.  capture %d: %s" i reason)
-      d.chain_errors
-  end
+          | Error m ->
+              if injection = None then fail ("recovery failed on clean files: " ^ m)
+              else if String.trim m = "" then fail "recovery error has no message"
+              else incr degraded
+          | Ok r -> (
+              if r.Checkpoint.r_warnings <> [] then begin
+                if injection = None then
+                  fail ("clean files recovered with warnings: "
+                        ^ String.concat "; " r.Checkpoint.r_warnings)
+                else incr degraded
+              end;
+              let v = Journal.verifier r.Checkpoint.r_journal in
+              match
+                run ~on_transition:(Journal.observe v)
+                  ~restore_from:r.Checkpoint.r_snapshot ()
+              with
+              | exception Invalid_argument m -> fail ("restore refused: " ^ m)
+              | report, outcomes -> (
+                  if
+                    not
+                      (String.equal
+                         (Table.to_string (Engine.report_table report))
+                         base_table)
+                  then fail "restored report differs"
+                  else if compare outcomes base_outcomes <> 0 then
+                    fail "restored outcomes differ"
+                  else
+                    match Journal.finish v with
+                    | Ok _ -> ()
+                    | Error m -> fail ("journal replay: " ^ m))))
+        captures;
+      {
+        checkpoints = !cuts;
+        captures = List.length captures;
+        mismatches = List.rev !errors;
+        degraded = !degraded;
+      })
 
 let pp ppf d =
   if passed d then
-    Format.fprintf ppf "drill passed: %d checkpoint(s), all restores identical"
-      d.checkpoints
+    Format.fprintf ppf
+      "drill passed: %d checkpoint(s), %d crash point(s), all restores \
+       identical, %d degraded gracefully"
+      d.checkpoints d.captures d.degraded
   else begin
-    Format.fprintf ppf "drill FAILED: %d of %d restore(s) diverged"
-      (List.length d.mismatches) d.checkpoints;
+    Format.fprintf ppf "drill FAILED: %d of %d crash point(s) diverged"
+      (List.length d.mismatches) d.captures;
     List.iter
-      (fun (at, reason) -> Format.fprintf ppf "@.  t=%g: %s" at reason)
+      (fun (i, reason) -> Format.fprintf ppf "@.  crash point %d: %s" i reason)
       d.mismatches
   end

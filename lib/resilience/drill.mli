@@ -1,20 +1,39 @@
-(** Long-horizon crash-recovery drills.
+(** Long-horizon crash-recovery drill.
 
     {!crash_restore} runs a workload to completion while cutting
-    checkpoints every [every] time units, then simulates a crash at
-    {e every} checkpoint instant: the snapshot is serialised, parsed
-    back (a real crash leaves only bytes), restored into a fresh
-    {!Qnet_online.Engine.run}, and the continuation's report table and
-    outcome list are compared against the uninterrupted run's.  Any
-    divergence — a report that is not byte-identical, an outcome list
-    that is not structurally equal, a snapshot that fails to re-parse,
-    a restore the engine refuses — is recorded with its instant. *)
+    checkpoints every [every] time units through a real
+    {!Checkpoint.writer} (cut, [FILE.prev] and write-ahead {!Journal}
+    in a temporary directory it creates and removes).  It captures the
+    byte-exact file set just before every cut (when the journal holds
+    the transitions since the previous one), just after it, and once at
+    run end, then crashes into every capture: the
+    files are written back, recovered with {!Checkpoint.recover}, and
+    the run is finished from the recovered cut under the journal
+    {!Journal.verifier}.  The continuation's report table must be
+    byte-identical to the uninterrupted run's, its outcome list
+    structurally equal, and the journal fully re-emitted.
+
+    With an {!injection} the newest cut of every capture is damaged
+    first; determinism still demands a byte-identical completion (from
+    [FILE.prev]) or a friendly [Error] when no cut survives — an
+    exception anywhere fails the drill. *)
+
+type injection =
+  | Torn_write of int
+      (** Truncate the newest cut by N bytes — the mid-write crash. *)
+  | Bit_flip of int
+      (** Flip bit N (modulo its size) of the newest cut — silent media
+          corruption. *)
 
 type t = {
-  checkpoints : int;  (** Snapshots cut by the uninterrupted run. *)
-  mismatches : (float * string) list;
-      (** [(instant, reason)] for every diverging restore; empty means
+  checkpoints : int;  (** Cuts made by the uninterrupted run. *)
+  captures : int;  (** Crash points exercised. *)
+  mismatches : (int * string) list;
+      (** [(crash point or cut, reason)] for every failure; empty means
           the drill passed. *)
+  degraded : int;
+      (** Injected crash points that recovered from [FILE.prev] or
+          failed friendly — expected under injection. *)
 }
 
 val passed : t -> bool
@@ -26,6 +45,7 @@ val crash_restore :
   ?reconfig:Qnet_online.Reconfig.event list ->
   ?pool:Qnet_util.Pool.t ->
   ?slot:float ->
+  ?inject:injection ->
   every:float ->
   Qnet_graph.Graph.t ->
   Qnet_core.Params.t ->
@@ -39,61 +59,4 @@ val crash_restore :
     path. *)
 
 val pp : Format.formatter -> t -> unit
-(** One-line pass summary, or the list of diverging instants. *)
-
-(** {1 Incremental-chain drills}
-
-    {!chain_restore} exercises the full durability stack: the run cuts
-    through a real {!Chain} writer (base, deltas and write-ahead
-    journal on disk in [dir]), the drill captures the byte-exact file
-    set after every cut plus once at run end (when the journal carries
-    the tail), and each capture is crashed into — recovered with
-    {!Chain.recover} and re-run to completion under the journal
-    {!Journal.verifier}.
-
-    Determinism gives one pass criterion that survives corruption:
-    recovery from {e any} valid state completes to the same final
-    report.  So with an {!injection}, every crash point must either
-    produce a byte-identical completion (journal fully re-emitted) or
-    degrade to a friendly [Error] — an exception anywhere fails the
-    drill. *)
-
-type injection =
-  | Torn_write of int
-      (** Truncate the newest file of each capture by N bytes — the
-          mid-write crash. *)
-  | Bit_flip of int
-      (** Flip bit N of the middle file — silent media corruption. *)
-
-type chain_t = {
-  chain_cuts : int;  (** Cuts performed by the uninterrupted run. *)
-  chain_captures : int;  (** Crash points exercised. *)
-  chain_errors : (int * string) list;
-      (** [(capture, reason)] for every failure; empty means passed. *)
-  chain_degraded : int;
-      (** Injected captures that recovered to an earlier state or a
-          friendly error — expected under injection. *)
-}
-
-val chain_passed : chain_t -> bool
-
-val chain_restore :
-  ?config:Qnet_online.Engine.config ->
-  ?faults:Qnet_faults.Model.t ->
-  ?fault_schedule:Qnet_faults.Schedule.event list ->
-  ?reconfig:Qnet_online.Reconfig.event list ->
-  ?pool:Qnet_util.Pool.t ->
-  ?slot:float ->
-  ?inject:injection ->
-  every:float ->
-  cadence:int ->
-  dir:string ->
-  Qnet_graph.Graph.t ->
-  Qnet_core.Params.t ->
-  requests:Qnet_online.Workload.request list ->
-  chain_t
-(** [cadence] is the {!Chain.create} rebase period (deltas per full
-    snapshot); [dir] must be a writable scratch directory — the drill
-    cleans its chain files up on exit. *)
-
-val pp_chain : Format.formatter -> chain_t -> unit
+(** One-line pass summary, or the list of diverging crash points. *)

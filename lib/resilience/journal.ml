@@ -11,10 +11,11 @@ module Wire = Qnet_telemetry.Wire
      (chain (head <md5>) (index N))
      <binary records...>
 
-   The header names the checkpoint the journal extends — the footer
-   digest of the last chain file written ([head]) and that file's delta
-   index — so recovery can tell a journal that belongs to the restored
-   state from a stale one left by an earlier run.
+   The header names the checkpoint cut the journal extends — the cut's
+   footer digest ([head]) and its ordinal among the cuts its writer made
+   ([index], informational) — so recovery can tell a journal that
+   belongs to the restored cut from a stale one left by an earlier
+   cut.
 
    Each record is [varint length][payload][4-byte truncated MD5 of the
    payload].  The per-record checksum makes the torn-tail case (the
@@ -42,7 +43,7 @@ let crc_len = 4
 (* --- transition codec ---------------------------------------------- *)
 
 let put_transition enc (tr : Engine.transition) =
-  let bool b = Wire.put_byte enc (if b then 1 else 0) in
+  let bool = Wire.put_bool enc in
   match tr with
   | Engine.T_admit { at; lid; request } ->
       Wire.put_byte enc 0;
@@ -80,12 +81,7 @@ let put_transition enc (tr : Engine.transition) =
       Wire.put_int enc qubits
 
 let get_transition dec : Engine.transition =
-  let bool () =
-    match Wire.get_byte dec with
-    | 0 -> false
-    | 1 -> true
-    | b -> raise (Wire.Corrupt (Printf.sprintf "bad boolean byte %d" b))
-  in
+  let bool () = Wire.get_bool dec in
   match Wire.get_byte dec with
   | 0 ->
       let at = Wire.get_float dec in

@@ -9,8 +9,8 @@
     deterministic; the replay is).
 
     File layout ([muerp-journal/1]): three header text lines (version,
-    config fingerprint, the chain head digest + delta index the journal
-    extends), then binary records framed as
+    config fingerprint, the footer digest and ordinal of the checkpoint
+    cut the journal extends), then binary records framed as
     [varint length][payload][4-byte truncated MD5].  The per-record
     checksum pins the torn-tail case to an exact record boundary: a
     crash mid-append loses only the in-flight record, and {!read}
@@ -35,8 +35,10 @@ val create :
   index:int ->
   (writer, string) result
 (** Start a journal at [path] (truncating any previous one), chained to
-    the checkpoint whose footer digest is [head] at delta [index].  The
-    header is fsynced before returning. *)
+    the checkpoint cut whose footer digest is [head]; [index] is the
+    ordinal of that cut among the cuts its writer made (informational —
+    recovery matches on [head]).  The header is fsynced before
+    returning. *)
 
 val append : writer -> Qnet_online.Engine.transition -> unit
 (** Append one committed transition; fsyncs every {!fsync_every}
@@ -50,8 +52,8 @@ val close : writer -> int
 
 type contents = {
   j_config : string;
-  j_head : string;  (** Footer digest of the chain file this extends. *)
-  j_index : int;  (** Delta index of that file. *)
+  j_head : string;  (** Footer digest of the cut this extends. *)
+  j_index : int;  (** Ordinal of that cut. *)
   j_records : Qnet_online.Engine.transition list;  (** Commit order. *)
   j_torn : string option;
       (** Warning when the tail was cut mid-record; the records before

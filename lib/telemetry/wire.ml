@@ -1,15 +1,11 @@
-(* Compact binary codec for telemetry registry state.
+(* Compact binary codec: the primitives of every binary format in the
+   project (checkpoint cuts and journal records).
 
-   Checkpoint deltas carry the metrics registry on every cut, and the
-   sexp rendering of a histogram (64 bucket counts, four 17-digit
-   floats) is the single largest section of a snapshot.  This codec
-   packs the same data as LEB128 varints (zigzag for signed values),
-   raw IEEE-754 bits for floats, and length-prefixed strings — a
-   registry delta typically shrinks 5-10x versus its sexp form.
-
-   The primitives are exposed because the resilience journal reuses
-   them for its own records; the [metrics_diff] pair is the codec the
-   incremental checkpoints ship. *)
+   Integers are LEB128 varints (zigzag for signed values), floats are
+   their raw IEEE-754 bits, strings and lists are length-prefixed.  A
+   metrics histogram (64 bucket counts, four floats) packs into a
+   fraction of its sexp rendering, and a float round-trips bit-exactly
+   without any text formatting. *)
 
 exception Corrupt of string
 
@@ -53,6 +49,18 @@ let put_float b f =
 let put_string b s =
   put_uint b (String.length s);
   Buffer.add_string b s
+
+let put_bool b v = put_byte b (if v then 1 else 0)
+
+let put_list b f l =
+  put_uint b (List.length l);
+  List.iter (f b) l
+
+let put_option b f = function
+  | None -> put_byte b 0
+  | Some v ->
+      put_byte b 1;
+      f b v
 
 (* --- decoder ------------------------------------------------------ *)
 
@@ -98,39 +106,17 @@ let get_string d =
   d.pos <- d.pos + n;
   s
 
-(* --- hex framing --------------------------------------------------- *)
+let get_bool d =
+  match get_byte d with
+  | 0 -> false
+  | 1 -> true
+  | b -> corrupt (Printf.sprintf "bad boolean byte %d" b)
 
-(* Binary payloads ride inside line-oriented checkpoint files, so they
-   are hex-armoured: still compact after the 2x expansion, and the
-   file's integrity footer stays a trailing text line. *)
-
-let to_hex s =
-  let buf = Buffer.create (2 * String.length s) in
-  String.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) s;
-  Buffer.contents buf
-
-let of_hex s =
-  let n = String.length s in
-  if n mod 2 <> 0 then Error "odd-length hex payload"
-  else
-    let nib c =
-      match c with
-      | '0' .. '9' -> Ok (Char.code c - Char.code '0')
-      | 'a' .. 'f' -> Ok (Char.code c - Char.code 'a' + 10)
-      | 'A' .. 'F' -> Ok (Char.code c - Char.code 'A' + 10)
-      | _ -> Error (Printf.sprintf "invalid hex byte %C" c)
-    in
-    let buf = Bytes.create (n / 2) in
-    let rec go i =
-      if i >= n then Ok (Bytes.to_string buf)
-      else
-        match (nib s.[i], nib s.[i + 1]) with
-        | Ok hi, Ok lo ->
-            Bytes.set buf (i / 2) (Char.chr ((hi lsl 4) lor lo));
-            go (i + 2)
-        | Error e, _ | _, Error e -> Error e
-    in
-    go 0
+let get_option d f =
+  match get_byte d with
+  | 0 -> None
+  | 1 -> Some (f d)
+  | t -> corrupt (Printf.sprintf "bad option tag %d" t)
 
 (* --- metrics ------------------------------------------------------- *)
 
@@ -166,22 +152,6 @@ let get_dumped d =
       Metrics.D_histogram { d_n; d_sum; d_vmin; d_vmax; d_counts }
   | t -> corrupt (Printf.sprintf "unknown metric tag %d" t)
 
-(* A registry delta: entries that disappeared (by name) plus entries
-   added or changed.  Both halves keep their caller-given order, which
-   the delta codec relies on to reconstruct [Metrics.dump]'s sorted
-   output exactly. *)
-let encode_metrics_diff ~removed ~upserts =
-  let b = encoder () in
-  put_uint b (List.length removed);
-  List.iter (put_string b) removed;
-  put_uint b (List.length upserts);
-  List.iter
-    (fun (name, v) ->
-      put_string b name;
-      put_dumped b v)
-    upserts;
-  contents b
-
 (* Explicit accumulation: each entry costs at least one byte, so a
    lying count is caught before any allocation sized by it — and the
    list is built strictly left to right, which the stateful decoder
@@ -191,18 +161,3 @@ let get_list d f =
   if n < 0 || n > remaining d then corrupt "truncated list";
   let rec go acc k = if k = 0 then List.rev acc else go (f d :: acc) (k - 1) in
   go [] n
-
-let decode_metrics_diff data =
-  match
-    let d = decoder data in
-    let removed = get_list d get_string in
-    let upserts =
-      get_list d (fun d ->
-          let name = get_string d in
-          (name, get_dumped d))
-    in
-    if remaining d <> 0 then corrupt "trailing bytes";
-    (removed, upserts)
-  with
-  | v -> Ok v
-  | exception Corrupt m -> Error ("metrics delta: " ^ m)

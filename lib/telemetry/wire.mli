@@ -1,15 +1,14 @@
-(** Compact binary codec for telemetry state (and journal records).
+(** Compact binary codec: the primitives behind every binary format in
+    the project — checkpoint cuts ({!Qnet_resilience.Checkpoint}) and
+    write-ahead journal records ({!Qnet_resilience.Journal}).
 
-    The incremental-checkpoint path ships the metrics registry on every
-    delta, where the sexp rendering (17-digit floats, 64 spelled-out
-    bucket counts per histogram) dominates the file.  This codec packs
-    the same data as LEB128 varints (zigzag-mapped when signed), raw
-    IEEE-754 float bits and length-prefixed strings, typically 5-10x
-    smaller.  The primitives are public because the write-ahead journal
-    reuses them for its own records.
+    Integers are LEB128 varints (zigzag-mapped when signed), floats are
+    their eight raw IEEE-754 bytes, strings and lists are
+    length-prefixed.  Everything round-trips exactly, float bits
+    included.
 
-    Decoding raises {!Corrupt} internally; the top-level entry points
-    ({!decode_metrics_diff}, callers' own wrappers) convert it to a
+    Decoding raises {!Corrupt} on truncated or malformed input; each
+    file format catches it at its record boundary and turns it into a
     [result], so a truncated or bit-flipped payload surfaces as a
     human-readable error, never an exception escaping the file layer. *)
 
@@ -35,6 +34,13 @@ val put_float : enc -> float -> unit
     (including infinities and NaN) exactly. *)
 
 val put_string : enc -> string -> unit
+val put_bool : enc -> bool -> unit
+
+val put_list : enc -> (enc -> 'a -> unit) -> 'a list -> unit
+(** Element count, then each element. *)
+
+val put_option : enc -> (enc -> 'a -> unit) -> 'a option -> unit
+(** A presence byte, then the value when present. *)
 
 (** {1 Decoding} *)
 
@@ -47,30 +53,17 @@ val get_uint : dec -> int
 val get_int : dec -> int
 val get_float : dec -> float
 val get_string : dec -> string
+val get_bool : dec -> bool
+(** Rejects any byte other than [0] and [1]. *)
 
 val get_list : dec -> (dec -> 'a) -> 'a list
 (** Length-prefixed list, decoded strictly left to right; a count
     larger than the remaining bytes is rejected before allocation. *)
 
-(** {1 Hex armour}
+val get_option : dec -> (dec -> 'a) -> 'a option
+(** Rejects a presence byte other than [0] and [1]. *)
 
-    Binary payloads ride inside line-oriented checkpoint files, so they
-    are hex-encoded: the file stays line-splittable and its integrity
-    footer stays a trailing text line. *)
-
-val to_hex : string -> string
-val of_hex : string -> (string, string) result
-
-(** {1 Metrics registry deltas} *)
+(** {1 Metrics} *)
 
 val put_dumped : enc -> Metrics.dumped -> unit
 val get_dumped : dec -> Metrics.dumped
-
-val encode_metrics_diff :
-  removed:string list -> upserts:(string * Metrics.dumped) list -> string
-(** Serialise a registry delta: entry names that disappeared plus
-    entries added or changed, both in caller order (the delta codec
-    reconstructs {!Metrics.dump}'s sorted output by ordered merge). *)
-
-val decode_metrics_diff :
-  string -> (string list * (string * Metrics.dumped) list, string) result

@@ -114,7 +114,7 @@ RESILIENCE_FIELDS = [
     "reconfig_acceptance_ratio",
 ]
 
-EXPECTED_SCHEMA = "muerp-bench-snapshot/10"
+EXPECTED_SCHEMA = "muerp-bench-snapshot/11"
 
 
 def check_flow_invariants(fresh):
@@ -208,47 +208,40 @@ def check_resilience_invariants(fresh):
             f"resilience.snapshot_bytes = {res.get('snapshot_bytes')!r}: "
             "expected a non-empty serialized snapshot"
         )
-    problems.extend(check_incremental_invariants(res))
+    problems.extend(check_cadence_invariants(res))
     return problems
 
 
-def check_incremental_invariants(res):
-    """Soundness checks on the incremental-checkpoint cadence rows.
-    Bytes written is the deterministic overhead measure (wall times
-    vary with the host); the delta+journal chain must write strictly
-    less than full rewrites at every cadence, at least 3x less at the
-    tightest (10s) cadence, and recovery + journal replay must land on
-    the byte-identical report with no corruption warnings."""
+def check_cadence_invariants(res):
+    """Soundness checks on the checkpoint-cadence rows (durable binary
+    cuts plus the write-ahead journal, at 10s and 30s).  Bytes written
+    is the deterministic-scale overhead measure (wall times vary with
+    the host); the binary cut must stay at least 2.5x smaller than the
+    sexp text view of the same snapshots, and recovery + journal replay
+    must land on the byte-identical report with no warnings."""
     problems = []
-    rows = res.get("incremental")
+    rows = res.get("cadence")
     if not isinstance(rows, list) or not rows:
-        return ["resilience.incremental: cadence rows missing from snapshot"]
+        return ["resilience.cadence: cadence rows missing from snapshot"]
     for row in rows:
         cadence = row.get("cadence_s")
-        tag = f"resilience.incremental[cadence_s={cadence}]"
-        full_b = row.get("full_bytes", 0)
-        incr_b = row.get("incr_bytes", 0)
-        if full_b <= 0 or incr_b <= 0:
+        tag = f"resilience.cadence[cadence_s={cadence}]"
+        if row.get("cuts", 0) <= 0 or row.get("bytes", 0) <= 0:
             problems.append(
-                f"{tag}: full_bytes = {full_b!r}, incr_bytes = {incr_b!r}: "
-                "expected positive byte counts"
+                f"{tag}: cuts = {row.get('cuts')!r}, bytes = "
+                f"{row.get('bytes')!r}: expected positive counts"
             )
             continue
-        if incr_b >= full_b:
+        ratio = row.get("sexp_ratio")
+        if ratio is None or float(ratio) < 2.5:
             problems.append(
-                f"{tag}: incr_bytes = {incr_b} >= full_bytes = {full_b}: "
-                "incremental chain wrote no less than full rewrites"
+                f"{tag}.sexp_ratio = {ratio!r}: expected >= 2.5 (binary "
+                "cuts against the sexp text of the same snapshots)"
             )
-        ratio = row.get("bytes_ratio")
-        if cadence == 10.0 and (ratio is None or float(ratio) < 3.0):
+        if row.get("restored_report_equal") is not True:
             problems.append(
-                f"{tag}.bytes_ratio = {ratio!r}: expected >= 3.0 at the "
-                "10s cadence (checkpoint-overhead reduction target)"
-            )
-        if row.get("incr_restored_report_equal") is not True:
-            problems.append(
-                f"{tag}.incr_restored_report_equal = "
-                f"{row.get('incr_restored_report_equal')!r}: chain recovery "
+                f"{tag}.restored_report_equal = "
+                f"{row.get('restored_report_equal')!r}: recovery "
                 "diverged from the uninterrupted report"
             )
         if row.get("journal_replay_equal") is not True:
@@ -260,7 +253,7 @@ def check_incremental_invariants(res):
         if row.get("recovery_warnings", 0) != 0:
             problems.append(
                 f"{tag}.recovery_warnings = {row.get('recovery_warnings')!r}: "
-                "clean chains must recover without warnings"
+                "clean files must recover without warnings"
             )
     return problems
 

@@ -104,37 +104,60 @@ batch_served=$(awk '$2 == "served" { print $4 }' "$batch_j1")
 echo "batched serving identical at --jobs 1/4 and --slot 2, served=$batch_served"
 
 echo "== crash-recovery smoke =="
-# Kill a faulty run at a checkpoint, restore it (at a different --jobs
-# level), and demand the restored report be byte-identical to the
-# uninterrupted run's.  Corrupting the checkpoint must produce a
-# friendly error with exit code 2, and the in-process drill must pass.
-ckpt=$(mktemp -t muerp_ckpt.XXXXXX)
-rec_full=$(mktemp -t muerp_rec_full.XXXXXX)
-rec_rest=$(mktemp -t muerp_rec_rest.XXXXXX)
-rec_err=$(mktemp -t muerp_rec_err.XXXXXX)
-reconf=$(mktemp -t muerp_reconf.XXXXXX)
-trap 'rm -f "$run_a" "$run_b" "$ckpt" "$rec_full" "$rec_rest" "$rec_err" \
-  "$reconf"' EXIT
+# Kill a faulty run at a checkpoint (with a write-ahead journal),
+# restore it at a different --jobs level, and demand the restored
+# report be byte-identical to the uninterrupted run's.  Zeroing a byte
+# of the newest cut must fall back to FILE.prev with a warning and
+# STILL reproduce the report (the determinism contract); corrupting
+# both cuts must exit 2 naming the file.  `muerp inspect` must read a
+# cut and a journal, and the in-process drill must pass.
+rec_dir=$(mktemp -d -t muerp_rec.XXXXXX)
+ckpt="$rec_dir/run.ckpt"
+journal="$rec_dir/run.journal"
+rec_full="$rec_dir/full.out"
+rec_rest="$rec_dir/rest.out"
+rec_err="$rec_dir/err.out"
+reconf="$rec_dir/reconf.sexp"
+trap 'rm -rf "$run_a" "$run_b" "$rec_dir"' EXIT
 rec_flags="--seed 13 -n 60 --switches 40 --fault-mtbf 20 --fault-mttr 5 \
   --max-queue 12 --rate 1.5"
 dune exec bin/muerp_cli.exe -- traffic $rec_flags >"$rec_full"
-dune exec bin/muerp_cli.exe -- traffic $rec_flags --checkpoint-every 5 \
-  --checkpoint "$ckpt" --halt-at 25 >/dev/null
-dune exec bin/muerp_cli.exe -- traffic $rec_flags --restore "$ckpt" \
-  --jobs 2 >"$rec_rest"
 grep '^|' "$rec_full" >"$rec_full.tbl"
+dune exec bin/muerp_cli.exe -- traffic $rec_flags --checkpoint-every 3 \
+  --checkpoint "$ckpt" --journal "$journal" --halt-at 25 >/dev/null
+[ -f "$ckpt.prev" ] ||
+  { echo "checkpointed run kept no previous cut" >&2; exit 1; }
+dune exec bin/muerp_cli.exe -- traffic $rec_flags --restore "$ckpt" \
+  --journal "$journal" --jobs 2 >"$rec_rest"
 grep '^|' "$rec_rest" >"$rec_rest.tbl"
 cmp "$rec_full.tbl" "$rec_rest.tbl" ||
   { echo "restored report differs from the uninterrupted run" >&2; exit 1; }
-rm -f "$rec_full.tbl" "$rec_rest.tbl"
-# Corrupt the checkpoint: the CLI must name the file and exit 2.
-printf 'garbage' >>"$ckpt"
+# Inspect the cut and the journal.
+dune exec bin/muerp_cli.exe -- inspect "$ckpt" >"$rec_rest" ||
+  { echo "inspect could not read the cut" >&2; exit 1; }
+dune exec bin/muerp_cli.exe -- inspect "$journal" >"$rec_rest" ||
+  { echo "inspect could not read the journal" >&2; exit 1; }
+# Zero one byte of the newest cut: a warning, recovery from FILE.prev,
+# and still the identical report.
+dd if=/dev/zero of="$ckpt" bs=1 seek=80 count=1 conv=notrunc 2>/dev/null
+dune exec bin/muerp_cli.exe -- traffic $rec_flags --restore "$ckpt" \
+  --journal "$journal" >"$rec_rest" 2>"$rec_err"
+grep -q "warning:" "$rec_err" ||
+  { echo "damaged cut produced no recovery warning" >&2; exit 1; }
+grep -q "restored from $ckpt.prev" "$rec_rest" ||
+  { echo "damaged cut did not fall back to FILE.prev" >&2; exit 1; }
+grep '^|' "$rec_rest" >"$rec_rest.tbl"
+cmp "$rec_full.tbl" "$rec_rest.tbl" ||
+  { echo "restore from FILE.prev diverged from the uninterrupted run" >&2
+    exit 1; }
+# Corrupt both cuts: no restore point remains — exit 2, name the file.
+printf 'garbage' >>"$ckpt.prev"
 status=0
 dune exec bin/muerp_cli.exe -- traffic $rec_flags --restore "$ckpt" \
   >/dev/null 2>"$rec_err" || status=$?
 [ "$status" -eq 2 ] ||
-  { echo "corrupt checkpoint exited $status, want 2" >&2; exit 1; }
-grep -q "checkpoint" "$rec_err" ||
+  { echo "corrupt checkpoints exited $status, want 2" >&2; exit 1; }
+grep -q "run.ckpt" "$rec_err" ||
   { echo "corrupt-checkpoint error does not name the file" >&2; exit 1; }
 # Live reconfiguration: drain a switch mid-run, grow another, rejoin.
 cat >"$reconf" <<'EOF'
@@ -147,63 +170,13 @@ dune exec bin/muerp_cli.exe -- traffic $rec_flags --reconfig "$reconf" \
   >"$rec_rest"
 grep -q "reconfig_applied" "$rec_rest" ||
   { echo "reconfig run reported no reconfig_applied row" >&2; exit 1; }
-# The in-process drill restores at every checkpoint instant and diffs.
+# The drill cuts to real files, crashes into every cut, recovers and
+# verifies the journal replay.
 dune exec bin/muerp_cli.exe -- traffic $rec_flags --reconfig "$reconf" \
   --drill 12 | grep -q "drill passed" ||
   { echo "crash-recovery drill failed" >&2; exit 1; }
-echo "crash-recovery: restore byte-identical, corrupt file exits 2, drill passed"
-
-echo "== incremental-chain crash smoke =="
-# Incremental mode: the same faulty run cut as a base + delta chain
-# with a write-ahead journal, halted mid-run and recovered through the
-# chain, must reproduce the uninterrupted report byte-for-byte.
-# Poisoning a middle delta must degrade gracefully — a warning, an
-# earlier restore point, and STILL the identical final report (the
-# determinism contract).  Poisoning the base must exit 2 naming the
-# file.  The in-process chain drill crashes into every capture.
-chain_dir=$(mktemp -d -t muerp_chain.XXXXXX)
-chain="$chain_dir/chain.ckpt"
-chain_rest=$(mktemp -t muerp_chain_rest.XXXXXX)
-chain_warn=$(mktemp -t muerp_chain_warn.XXXXXX)
-trap 'rm -rf "$run_a" "$run_b" "$chain_dir" "$chain_rest" "$chain_warn"' EXIT
-incr_flags="--checkpoint-mode incr:4 --journal $chain.journal"
-dune exec bin/muerp_cli.exe -- traffic $rec_flags --checkpoint-every 3 \
-  --checkpoint "$chain" $incr_flags --halt-at 25 >/dev/null
-ls "$chain".d* >/dev/null 2>&1 ||
-  { echo "incremental run wrote no delta files" >&2; exit 1; }
-dune exec bin/muerp_cli.exe -- traffic $rec_flags --restore "$chain" \
-  $incr_flags --jobs 2 >"$chain_rest"
-grep '^|' "$rec_full" >"$rec_full.tbl"
-grep '^|' "$chain_rest" >"$chain_rest.tbl"
-cmp "$rec_full.tbl" "$chain_rest.tbl" ||
-  { echo "chain-restored report differs from the uninterrupted run" >&2
-    exit 1; }
-# Zero one byte mid-delta: the chain walk must skip the poisoned
-# suffix with a warning and the completion must still be identical.
-dd if=/dev/zero of="$chain.d1" bs=1 seek=40 count=1 conv=notrunc 2>/dev/null
-dune exec bin/muerp_cli.exe -- traffic $rec_flags --restore "$chain" \
-  $incr_flags >"$chain_rest" 2>"$chain_warn"
-grep -q "warning:" "$chain_warn" ||
-  { echo "poisoned delta produced no recovery warning" >&2; exit 1; }
-grep '^|' "$chain_rest" >"$chain_rest.tbl"
-cmp "$rec_full.tbl" "$chain_rest.tbl" ||
-  { echo "degraded chain restore diverged from the uninterrupted run" >&2
-    exit 1; }
-rm -f "$rec_full.tbl" "$chain_rest.tbl"
-# Poison the base: no valid restore point remains — exit 2, name the file.
-printf 'garbage' >>"$chain"
-status=0
-dune exec bin/muerp_cli.exe -- traffic $rec_flags --restore "$chain" \
-  $incr_flags >/dev/null 2>"$chain_warn" || status=$?
-[ "$status" -eq 2 ] ||
-  { echo "corrupt chain base exited $status, want 2" >&2; exit 1; }
-grep -q "chain.ckpt" "$chain_warn" ||
-  { echo "corrupt-base error does not name the file" >&2; exit 1; }
-# The in-process chain drill: crash into every capture, verify replay.
-dune exec bin/muerp_cli.exe -- traffic $rec_flags --drill 6 \
-  --checkpoint-mode incr:3 | grep -q "chain drill passed" ||
-  { echo "incremental-chain drill failed" >&2; exit 1; }
-echo "incremental chain: restore identical, poison degrades, base exits 2"
+echo "crash-recovery: restore identical, FILE.prev fallback identical," \
+  "both cuts corrupt exits 2, inspect reads cut and journal, drill passed"
 
 echo "== SLA gate smoke =="
 # --fail-on-sla must exit nonzero when acceptance lands below the bar

@@ -149,6 +149,96 @@ let test_bad_arguments () =
   let code, _ = run "solve --topology mystery" in
   check_bool "unknown topology fails" true (code <> 0)
 
+(* A halted faulty run leaves a cut, its FILE.prev and a journal in a
+   scratch directory; [f] gets the directory and the run's flags. *)
+let with_halted_run f =
+  let dir = Filename.temp_dir "cli_ckpt" "" in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter
+        (fun n -> Sys.remove (Filename.concat dir n))
+        (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () ->
+      let flags =
+        "traffic --seed 13 -n 30 --switches 20 --fault-mtbf 20 --fault-mttr 5"
+      in
+      let ckpt = Filename.concat dir "run.ckpt" in
+      let journal = Filename.concat dir "run.journal" in
+      let code, out =
+        run
+          (Printf.sprintf "%s --checkpoint-every 3 --checkpoint %s --journal %s \
+                           --halt-at 12"
+             flags (Filename.quote ckpt) (Filename.quote journal))
+      in
+      check_int "halted run exit 0" 0 code;
+      check_bool "halted" true (contains out "halted at checkpoint");
+      f ~flags ~ckpt ~journal)
+
+let test_inspect_cut () =
+  with_halted_run (fun ~flags:_ ~ckpt ~journal:_ ->
+      let code, out = run ("inspect " ^ Filename.quote ckpt) in
+      check_int "exit 0" 0 code;
+      check_bool "header" true (contains out "muerp-checkpoint/2");
+      check_bool "config" true (contains out "config: seed=13");
+      check_bool "snapshot text view" true
+        (contains out "(muerp-engine-snapshot/2" && contains out "(events"))
+
+let test_inspect_journal () =
+  with_halted_run (fun ~flags ~ckpt ~journal ->
+      (* Restore and run on with a fresh cut cadence: the journal now
+         holds the transitions past the newest cut. *)
+      let code, _ =
+        run
+          (Printf.sprintf "%s --restore %s --checkpoint-every 100 \
+                           --checkpoint %s --journal %s"
+             flags (Filename.quote ckpt) (Filename.quote ckpt)
+             (Filename.quote journal))
+      in
+      check_int "restored run exit 0" 0 code;
+      let code, out = run ("inspect " ^ Filename.quote journal) in
+      check_int "exit 0" 0 code;
+      check_bool "header" true (contains out "muerp-journal/1");
+      check_bool "names the cut it extends" true (contains out "extends cut");
+      check_bool "one line per record" true
+        (contains out "admit lease" && contains out "release lease"))
+
+let test_inspect_other () =
+  let file = Filename.temp_file "cli_other" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      let oc = open_out file in
+      output_string oc "hello\n";
+      close_out oc;
+      let code, out = run ("inspect " ^ Filename.quote file) in
+      check_int "exit 2" 2 code;
+      check_bool "names the file" true (contains out file);
+      let code, out = run "inspect /nonexistent/muerp.ckpt" in
+      check_int "missing file exit 2" 2 code;
+      check_bool "missing file named" true (contains out "/nonexistent/muerp.ckpt"))
+
+(* A cut whose footer checks out but whose body is not a snapshot: the
+   restore names the file and exits 2, never a backtrace. *)
+let test_restore_corrupt_body () =
+  with_halted_run (fun ~flags ~ckpt ~journal:_ ->
+      let ic = open_in_bin ckpt in
+      let header = input_line ic in
+      let config = input_line ic in
+      close_in ic;
+      let body = Printf.sprintf "%s\n%s\n\x07\xff\n" header config in
+      let oc = open_out_bin ckpt in
+      Printf.fprintf oc "%sintegrity %s %d\n" body
+        (Digest.to_hex (Digest.string body))
+        (String.length body);
+      close_out oc;
+      Sys.remove (ckpt ^ ".prev");
+      let code, out = run (Printf.sprintf "%s --restore %s" flags (Filename.quote ckpt)) in
+      check_int "exit 2" 2 code;
+      check_bool "names the file" true (contains out ckpt);
+      check_bool "says the body is malformed" true
+        (contains out "malformed snapshot body"))
+
 let () =
   Alcotest.run "cli"
     [
@@ -168,5 +258,10 @@ let () =
           Alcotest.test_case "sweep" `Quick test_sweep;
           Alcotest.test_case "solve --metrics" `Quick test_solve_metrics;
           Alcotest.test_case "bad arguments" `Quick test_bad_arguments;
+          Alcotest.test_case "inspect cut" `Quick test_inspect_cut;
+          Alcotest.test_case "inspect journal" `Quick test_inspect_journal;
+          Alcotest.test_case "inspect other" `Quick test_inspect_other;
+          Alcotest.test_case "restore corrupt body" `Quick
+            test_restore_corrupt_body;
         ] );
     ]

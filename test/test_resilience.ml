@@ -1,6 +1,8 @@
 (* Tests for checkpoint/restore, live reconfiguration and the
-   crash-recovery drill: the snapshot codec, the durable checkpoint
-   file layer (integrity footer, friendly errors), reconfig validation
+   crash-recovery drill: the binary snapshot codec (including its
+   totality under corruption), the durable checkpoint file layer
+   (integrity footer, FILE.prev fallback, journal, friendly errors),
+   reconfig validation
    and engine semantics (leave/join/provision with capacity-safe lease
    recovery), workload modulators, and the central robustness property
    that a run restored at any checkpoint instant finishes with a
@@ -16,9 +18,7 @@ module Policy = Qnet_online.Policy
 module Engine = Qnet_online.Engine
 module Reconfig = Qnet_online.Reconfig
 module Checkpoint = Qnet_resilience.Checkpoint
-module Delta = Qnet_resilience.Delta
 module Journal = Qnet_resilience.Journal
-module Chain = Qnet_resilience.Chain
 module Drill = Qnet_resilience.Drill
 module Wire = Qnet_telemetry.Wire
 module Metrics = Qnet_telemetry.Metrics
@@ -94,26 +94,27 @@ let snapshot_of seed =
 
 let test_snapshot_roundtrip () =
   let _, _, snap = snapshot_of 3 in
-  let doc = Engine.snapshot_to_sexp snap in
-  match Engine.snapshot_of_sexp doc with
-  | Error m -> Alcotest.fail ("snapshot does not re-parse: " ^ m)
+  match Checkpoint.decode (Checkpoint.encode snap) with
+  | Error m -> Alcotest.fail ("snapshot does not decode: " ^ m)
   | Ok snap' ->
-      check_bool "re-serialisation is identical" true
-        (String.equal (Sexp.to_string doc)
-           (Sexp.to_string (Engine.snapshot_to_sexp snap')))
+      check_bool "decodes structurally equal" true (compare snap snap' = 0);
+      check_bool "re-encoding is identical" true
+        (String.equal (Checkpoint.encode snap) (Checkpoint.encode snap'))
 
 let test_snapshot_rejects_garbage () =
-  (match Engine.snapshot_of_sexp (Sexp.atom "nonsense") with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "parsed an atom as a snapshot");
-  match
-    Engine.snapshot_of_sexp
-      (Sexp.list [ Sexp.atom "muerp-engine-snapshot/999" ])
-  with
+  let _, _, snap = snapshot_of 3 in
+  let body = Checkpoint.encode snap in
+  (match Checkpoint.decode (body ^ "x") with
   | Error m ->
-      check_bool "names the version" true
-        (Astring.String.is_infix ~affix:"muerp-engine-snapshot" m)
-  | Ok _ -> Alcotest.fail "parsed an unknown snapshot version"
+      check_bool "names the trailing bytes" true
+        (Astring.String.is_infix ~affix:"trailing" m)
+  | Ok _ -> Alcotest.fail "decoded a body with trailing bytes");
+  (match Checkpoint.decode (String.sub body 0 (String.length body - 1)) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "decoded a truncated body");
+  match Checkpoint.decode "" with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "decoded an empty body"
 
 let test_restore_flag_mismatch_refused () =
   let g = network 5 in
@@ -193,8 +194,12 @@ let test_hier_policy_restore_equivalence () =
 
 let with_tmp f =
   let path = Filename.temp_file "muerp_test" ".ckpt" in
+  Sys.remove path;
   Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    ~finally:(fun () ->
+      List.iter
+        (fun p -> try Sys.remove p with Sys_error _ -> ())
+        [ path; Checkpoint.prev_path path ])
     (fun () -> f path)
 
 let write_file path data =
@@ -208,6 +213,11 @@ let read_file path =
   close_in ic;
   data
 
+let with_footer body =
+  Printf.sprintf "%sintegrity %s %d\n" body
+    (Digest.to_hex (Digest.string body))
+    (String.length body)
+
 let expect_error what affix = function
   | Ok _ -> Alcotest.fail (what ^ ": expected an error")
   | Error m ->
@@ -216,25 +226,52 @@ let expect_error what affix = function
         true
         (Astring.String.is_infix ~affix m)
 
+let footer_digest path =
+  match List.rev (String.split_on_char '\n' (read_file path)) with
+  | "" :: footer :: _ -> (
+      match String.split_on_char ' ' footer with
+      | [ "integrity"; hex; _ ] -> hex
+      | _ -> Alcotest.fail "no integrity footer")
+  | _ -> Alcotest.fail "no final newline"
+
 let test_checkpoint_file_roundtrip () =
   let _, _, snap = snapshot_of 11 in
+  let _, _, later = snapshot_of 12 in
   with_tmp (fun path ->
-      let digest =
+      let save snap =
         match Checkpoint.save ~path ~config:"flags" snap with
         | Ok digest -> digest
         | Error m -> Alcotest.fail m
       in
+      let digest = save snap in
       (* The returned digest is the file's footer identity. *)
-      (match Checkpoint.read_with_footer ~path with
-      | Ok (_, d) -> check_bool "save returns the footer digest" true (d = digest)
-      | Error m -> Alcotest.fail m);
-      match Checkpoint.load ~path ~config:"flags" with
+      check_bool "save returns the footer digest" true
+        (footer_digest path = digest);
+      check_bool "first cut has no .prev" false
+        (Sys.file_exists (Checkpoint.prev_path path));
+      (match Checkpoint.load ~path ~config:"flags" with
       | Error m -> Alcotest.fail m
       | Ok snap' ->
-          check_bool "round-trips bit-identically" true
-            (String.equal
-               (Sexp.to_string (Engine.snapshot_to_sexp snap))
-               (Sexp.to_string (Engine.snapshot_to_sexp snap'))))
+          check_bool "round-trips structurally" true (compare snap snap' = 0));
+      (* The next cut keeps this one as FILE.prev. *)
+      ignore (save later);
+      (match Checkpoint.load ~path:(Checkpoint.prev_path path) ~config:"flags" with
+      | Error m -> Alcotest.fail m
+      | Ok prev -> check_bool ".prev holds the previous cut" true (compare snap prev = 0));
+      (match Checkpoint.load ~path ~config:"flags" with
+      | Error m -> Alcotest.fail m
+      | Ok snap' -> check_bool "FILE holds the newest cut" true (compare later snap' = 0));
+      (* A damaged newest cut: recovery falls back to FILE.prev and says
+         so. *)
+      write_file path (String.sub (read_file path) 0 100);
+      match Checkpoint.recover ~path ~config:"flags" () with
+      | Error m -> Alcotest.fail m
+      | Ok r ->
+          check_bool "recovered the previous cut" true
+            (compare snap r.Checkpoint.r_snapshot = 0
+            && r.Checkpoint.r_path = Checkpoint.prev_path path);
+          check_bool "warning names the damaged cut" true
+            (List.exists (Astring.String.is_infix ~affix:path) r.Checkpoint.r_warnings))
 
 let test_checkpoint_file_errors () =
   let _, _, snap = snapshot_of 13 in
@@ -264,26 +301,22 @@ let test_checkpoint_file_errors () =
       write_file path (String.sub good 0 100 ^ String.sub good 110 (n - 110));
       expect_error "torn" "torn or truncated"
         (Checkpoint.load ~path ~config:"flags");
-      (* Future format versions are refused by name. *)
-      write_file path
-        (let swapped =
-           Astring.String.cuts ~sep:"muerp-checkpoint/1" good
-           |> String.concat "muerp-checkpoint/9"
-         in
-         swapped);
-      (* The checksum covers the header, so rebuild the footer. *)
-      let body =
-        match Astring.String.cut ~rev:true ~sep:"integrity" (read_file path)
-        with
-        | Some (body, _) -> body
-        | None -> Alcotest.fail "no footer"
-      in
-      write_file path
-        (Printf.sprintf "%sintegrity %s %d\n" body
-           (Digest.to_hex (Digest.string body))
-           (String.length body));
-      expect_error "version" "unsupported version"
-        (Checkpoint.load ~path ~config:"flags");
+      (* Other format versions — the retired sexp /1 and the future —
+         are refused by name.  The checksum covers the header, so the
+         footer is rebuilt. *)
+      List.iter
+        (fun other ->
+          let body =
+            match Astring.String.cut ~rev:true ~sep:"integrity" good with
+            | Some (body, _) ->
+                Astring.String.cuts ~sep:Checkpoint.version body
+                |> String.concat other
+            | None -> Alcotest.fail "no footer"
+          in
+          write_file path (with_footer body);
+          expect_error other "unsupported version"
+            (Checkpoint.load ~path ~config:"flags"))
+        [ "muerp-checkpoint/1"; "muerp-checkpoint/9" ];
       (* Arbitrary files are named as such. *)
       write_file path "definitely not a checkpoint\n";
       expect_error "junk" "not a muerp checkpoint"
@@ -601,23 +634,25 @@ let arbitrary_dumped =
       ])
 
 let prop_wire_metrics_roundtrip =
-  QCheck.Test.make ~count:100 ~name:"wire metrics-diff round-trip"
+  QCheck.Test.make ~count:100 ~name:"wire metrics round-trip"
     (QCheck.make
        QCheck.Gen.(
-         pair
-           (small_list (string_size (int_range 0 12)))
-           (small_list (pair (string_size (int_range 0 12)) arbitrary_dumped))))
-    (fun (removed, upserts) ->
-      let payload = Wire.encode_metrics_diff ~removed ~upserts in
-      match Wire.of_hex (Wire.to_hex payload) with
-      | Error m -> QCheck.Test.fail_report ("hex round-trip: " ^ m)
-      | Ok payload' -> (
-          if not (String.equal payload payload') then
-            QCheck.Test.fail_report "hex armour is not the identity";
-          match Wire.decode_metrics_diff payload' with
-          | Error m -> QCheck.Test.fail_report ("decode: " ^ m)
-          | Ok (removed', upserts') ->
-              removed = removed' && upserts = upserts'))
+         small_list (pair (string_size (int_range 0 12)) arbitrary_dumped)))
+    (fun entries ->
+      let enc = Wire.encoder () in
+      Wire.put_list enc
+        (fun enc (name, v) ->
+          Wire.put_string enc name;
+          Wire.put_dumped enc v)
+        entries;
+      let dec = Wire.decoder (Wire.contents enc) in
+      let entries' =
+        Wire.get_list dec (fun dec ->
+            let name = Wire.get_string dec in
+            let v = Wire.get_dumped dec in
+            (name, v))
+      in
+      Wire.remaining dec = 0 && compare entries entries' = 0)
 
 let test_wire_primitives () =
   let enc = Wire.encoder () in
@@ -630,7 +665,10 @@ let test_wire_primitives () =
   List.iter (Wire.put_float enc)
     [ 0.; -0.; infinity; neg_infinity; nan; 1e-308; Float.pi ];
   Wire.put_string enc "";
-  Wire.put_string enc "hex\x00armoured\xff";
+  Wire.put_string enc "bin\x00ary\xff";
+  Wire.put_bool enc true;
+  Wire.put_option enc Wire.put_int None;
+  Wire.put_option enc Wire.put_int (Some (-7));
   let dec = Wire.decoder (Wire.contents enc) in
   check_bool "min_int" true (Wire.get_int dec = min_int);
   check_bool "max_int" true (Wire.get_int dec = max_int);
@@ -646,106 +684,29 @@ let test_wire_primitives () =
            (Int64.bits_of_float (Wire.get_float dec))))
     [ 0.; -0.; infinity; neg_infinity; nan; 1e-308; Float.pi ];
   check_bool "empty string" true (Wire.get_string dec = "");
-  check_bool "binary string" true (Wire.get_string dec = "hex\x00armoured\xff");
+  check_bool "binary string" true (Wire.get_string dec = "bin\x00ary\xff");
+  check_bool "bool" true (Wire.get_bool dec);
+  check_bool "none" true (Wire.get_option dec Wire.get_int = None);
+  check_bool "some" true (Wire.get_option dec Wire.get_int = Some (-7));
   check_bool "fully consumed" true (Wire.remaining dec = 0);
-  (* Truncated input surfaces as a friendly result, not an exception. *)
-  match Wire.decode_metrics_diff "\x05" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "decoded a truncated payload"
+  (* Truncated or malformed input raises Corrupt, which each file format
+     turns into a friendly error. *)
+  List.iter
+    (fun (what, f) ->
+      match f () with
+      | exception Wire.Corrupt _ -> ()
+      | _ -> Alcotest.fail (what ^ ": decoded malformed input"))
+    [
+      ("truncated list", fun () -> ignore (Wire.get_list (Wire.decoder "\x05") Wire.get_int));
+      ("bad bool", fun () -> ignore (Wire.get_bool (Wire.decoder "\x02")));
+      ("bad option", fun () -> ignore (Wire.get_option (Wire.decoder "\x07") Wire.get_int));
+    ]
 
 (* ------------------------------------------------------------------ *)
-(* Delta codec                                                         *)
-
-(* Capture every snapshot a real (faulty, overloaded) run cuts, then
-   check the delta laws pairwise: apply (diff base next) reconstructs
-   next structurally, and the sexp rendering round-trips. *)
-let consecutive_snapshots seed =
-  let g = network seed in
-  let reqs = generated (seed + 1) g in
-  let faults =
-    Model.make ~mtbf:40. ~mttr:6. ~targets:Model.Both ~seed:(seed + 2) ()
-  in
-  let overload = Qnet_overload.Admission.make ~max_queue:12 ~rate:1. () in
-  let config = Engine.config ~overload Policy.prim in
-  let snaps = ref [] in
-  let _ =
-    Engine.run ~config ~faults
-      ~checkpoint:(6., fun _ snap -> snaps := snap :: !snaps)
-      g params ~requests:reqs
-  in
-  List.rev !snaps
-
-let snapshot_equal a b =
-  String.equal
-    (Sexp.to_string (Engine.snapshot_to_sexp a))
-    (Sexp.to_string (Engine.snapshot_to_sexp b))
-
-let test_delta_reconstructs () =
-  let snaps = consecutive_snapshots 47 in
-  check_bool "captured at least three snapshots" true (List.length snaps >= 3);
-  let rec pairs = function
-    | a :: (b :: _ as tl) -> (a, b) :: pairs tl
-    | _ -> []
-  in
-  List.iteri
-    (fun i (base, next) ->
-      let d = Delta.diff ~base next in
-      (match Delta.apply ~base d with
-      | Error m -> Alcotest.fail (Printf.sprintf "delta %d: apply: %s" i m)
-      | Ok next' ->
-          check_bool
-            (Printf.sprintf "delta %d reconstructs structurally" i)
-            true (compare next next' = 0);
-          check_bool
-            (Printf.sprintf "delta %d reconstructs byte-identically" i)
-            true (snapshot_equal next next'));
-      (* sexp round-trip, then apply again from the parsed form *)
-      match Delta.of_sexp (Delta.to_sexp d) with
-      | Error m -> Alcotest.fail (Printf.sprintf "delta %d: re-parse: %s" i m)
-      | Ok d' -> (
-          match Delta.apply ~base d' with
-          | Error m ->
-              Alcotest.fail (Printf.sprintf "delta %d: parsed apply: %s" i m)
-          | Ok next' ->
-              check_bool
-                (Printf.sprintf "parsed delta %d reconstructs" i)
-                true (compare next next' = 0)))
-    (pairs snaps)
-
-let test_delta_rejects_wrong_base () =
-  match consecutive_snapshots 53 with
-  | s0 :: s1 :: _ ->
-      (* A removal the base does not have means the delta belongs to a
-         different predecessor — apply must say so, not guess. *)
-      let d = Delta.diff ~base:s0 s1 in
-      let phantom =
-        { d with Delta.d_events_removed = (9999., 9999) :: d.Delta.d_events_removed }
-      in
-      (match Delta.apply ~base:s0 phantom with
-      | Error m ->
-          check_bool "phantom removal is named" true
-            (Astring.String.is_infix ~affix:"the base does not have" m)
-      | Ok _ -> Alcotest.fail "applied a delta with a phantom removal");
-      (* Malformed documents are named, not thrown. *)
-      (match Delta.of_sexp (Sexp.atom "junk") with
-      | Error m ->
-          check_bool "names the malformed document" true
-            (Astring.String.is_infix ~affix:"malformed delta" m)
-      | Ok _ -> Alcotest.fail "parsed junk as a delta");
-      (match
-         Delta.of_sexp (Sexp.list [ Sexp.atom "muerp-snapshot-delta/999" ])
-       with
-      | Error m ->
-          check_bool "names the version" true
-            (Astring.String.is_infix ~affix:"unsupported delta version" m)
-      | Ok _ -> Alcotest.fail "parsed an unknown delta version")
-  | _ -> Alcotest.fail "expected at least three snapshots"
-
-(* ------------------------------------------------------------------ *)
-(* Incremental chains: crash drills, journal replay, corruption        *)
+(* Durable cuts: crash drills, journal replay, corruption             *)
 
 let with_tmp_dir f =
-  let dir = Filename.temp_dir "muerp_chain" "" in
+  let dir = Filename.temp_dir "muerp_cuts" "" in
   Fun.protect
     ~finally:(fun () ->
       Array.iter
@@ -754,7 +715,7 @@ let with_tmp_dir f =
       try Sys.rmdir dir with Sys_error _ -> ())
     (fun () -> f dir)
 
-let chain_drill_must_pass ?inject ?pool ?slot ~cadence seed =
+let file_drill_must_pass ?inject ?pool ?slot seed =
   let g = network seed in
   let reqs = generated (seed + 1) g in
   let faults =
@@ -762,54 +723,139 @@ let chain_drill_must_pass ?inject ?pool ?slot ~cadence seed =
   in
   let overload = Qnet_overload.Admission.make ~max_queue:14 ~rate:1.2 () in
   let config = Engine.config ~overload Policy.prim in
-  with_tmp_dir (fun dir ->
-      let d =
-        Drill.chain_restore ~config ~faults ?inject ?pool ?slot ~every:8.
-          ~cadence ~dir g params ~requests:reqs
-      in
-      if not (Drill.chain_passed d) then
-        Alcotest.fail (Format.asprintf "%a" Drill.pp_chain d);
-      check_bool "exercised several crash points" true (d.Drill.chain_captures >= 3);
-      d)
+  let d =
+    Drill.crash_restore ~config ~faults ?inject ?pool ?slot ~every:8. g params
+      ~requests:reqs
+  in
+  if not (Drill.passed d) then Alcotest.fail (Format.asprintf "%a" Drill.pp d);
+  check_bool "exercised several crash points" true (d.Drill.captures >= 3);
+  d
 
 let test_chain_drill_clean () =
-  let d = chain_drill_must_pass ~cadence:3 59 in
-  check_bool "no capture degraded on a clean chain" true
-    (d.Drill.chain_degraded = 0)
+  let d = file_drill_must_pass 59 in
+  check_bool "no crash point degraded on clean files" true
+    (d.Drill.degraded = 0)
 
 let test_chain_drill_torn_write () =
-  (* Truncating the newest file of every capture simulates the
-     mid-write crash; every crash point must still complete
-     byte-identically (from an earlier state) or fail friendly. *)
+  (* Truncating the newest cut of every capture simulates the mid-write
+     crash; every crash point must still complete byte-identically
+     (from FILE.prev) or fail friendly. *)
   List.iter
-    (fun n -> ignore (chain_drill_must_pass ~inject:(Drill.Torn_write n) ~cadence:3 61))
+    (fun n ->
+      let d = file_drill_must_pass ~inject:(Drill.Torn_write n) 61 in
+      check_bool "every crash point degraded" true
+        (d.Drill.degraded = d.Drill.captures))
     [ 1; 7; 64; 10_000 ]
 
 let test_chain_drill_bit_flip () =
   List.iter
     (fun bit ->
-      ignore (chain_drill_must_pass ~inject:(Drill.Bit_flip bit) ~cadence:3 67))
+      let d = file_drill_must_pass ~inject:(Drill.Bit_flip bit) 67 in
+      check_bool "every crash point degraded" true
+        (d.Drill.degraded = d.Drill.captures))
     [ 3; 1009; 65537 ]
 
-let prop_chain_restore_any_instant =
+let prop_files_restore_any_cut =
   QCheck.Test.make ~count:4 ~name:"chain restore at any cut, any jobs/slot"
     QCheck.(
       triple (int_range 0 10_000) (oneofl [ 1; 2; 4 ]) (oneofl [ 0.; 2.5 ]))
     (fun (seed, jobs, slot) ->
       let run pool =
-        ignore
-          (chain_drill_must_pass ?pool ~slot ~cadence:((seed mod 4) + 2)
-             (seed mod 89));
+        ignore (file_drill_must_pass ?pool ~slot (seed mod 89));
         true
       in
       if jobs = 1 then run None
       else Pool.with_pool ~jobs (fun pool -> run (Some pool)))
 
-(* The corruption matrix: build a real chain, then truncate each file
-   at every byte boundary and flip random bits, checking that recovery
-   always either lands on one of the states the writer actually cut
-   (structural equality) or fails with a message naming the file —
-   never an exception. *)
+(* Snapshots a small faulty run cuts — once under a tier ladder,
+   once under a cached policy (whose memo table travels as policy
+   state) — with the metrics registry on, so every optional section of
+   the format is populated somewhere. *)
+let real_snapshots seed =
+  let g = network ~users:5 ~switches:14 seed in
+  let reqs = generated (seed + 1) g in
+  let faults =
+    Model.make ~mtbf:30. ~mttr:6. ~targets:Model.Both ~seed:(seed + 2) ()
+  in
+  let overload = Qnet_overload.Admission.make ~max_queue:10 ~rate:1.5 () in
+  let tiered, tier_stats =
+    Policy.tiered ~fuel:200
+      [ Policy.of_algorithm Qnet_core.Muerp.Conflict_free; Policy.prim ]
+  in
+  let configs =
+    [
+      Engine.config ~overload ~tier_stats tiered;
+      Engine.config ~overload (Policy.cached Policy.prim);
+    ]
+  in
+  let was = Metrics.enabled () in
+  Metrics.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Metrics.set_enabled was)
+    (fun () ->
+      List.concat_map
+        (fun config ->
+          let snaps = ref [] in
+          ignore
+            (Engine.run ~config ~faults
+               ~checkpoint:(7., fun _ snap -> snaps := snap :: !snaps)
+               g params ~requests:reqs);
+          (* The first cut keeps every-byte mutation affordable. *)
+          match List.rev !snaps with [] -> [] | first :: _ -> [ first ])
+        configs)
+
+(* A decode is sound when it fails, or when what it produced is itself a
+   snapshot the codec round-trips exactly. *)
+let decodes_soundly body =
+  match Checkpoint.decode body with
+  | exception e -> QCheck.Test.fail_reportf "decode raised %s" (Printexc.to_string e)
+  | Error _ -> true
+  | Ok s -> (
+      match Checkpoint.decode (Checkpoint.encode s) with
+      | Ok s' -> compare s s' = 0
+      | Error m -> QCheck.Test.fail_reportf "decoded value does not round-trip: %s" m)
+
+let prop_decoder_total =
+  QCheck.Test.make ~count:1 ~name:"snapshot decoder is total"
+    QCheck.(pair (int_range 0 10_000) (small_list string))
+    (fun (seed, junk) ->
+      let snaps = real_snapshots (seed mod 83) in
+      let sections (s : Engine.snapshot) =
+        (s.s_health <> None, s.s_tier <> None, s.s_policy <> None, s.s_metrics <> None)
+      in
+      if not (List.exists (fun s -> sections s = (true, true, false, true)) snaps
+              && List.exists (fun s -> sections s = (true, false, true, true)) snaps)
+      then QCheck.Test.fail_report "runs did not populate every section";
+      List.for_all
+        (fun snap ->
+          let body = Checkpoint.encode snap in
+          let n = String.length body in
+          (match Checkpoint.decode body with
+           | Ok s when compare s snap = 0 -> ()
+           | _ -> QCheck.Test.fail_report "clean body does not round-trip");
+          for keep = 0 to n - 1 do
+            match Checkpoint.decode (String.sub body 0 keep) with
+            | Error _ -> ()
+            | Ok _ -> QCheck.Test.fail_reportf "truncation to %d bytes decoded" keep
+            | exception e ->
+                QCheck.Test.fail_reportf "truncation raised %s" (Printexc.to_string e)
+          done;
+          let flipped = ref true in
+          for i = 0 to n - 1 do
+            let b = Bytes.of_string body in
+            Bytes.set b i (Char.chr (Char.code body.[i] lxor (1 + ((i + seed) mod 255))));
+            flipped := !flipped && decodes_soundly (Bytes.to_string b)
+          done;
+          !flipped)
+        snaps
+      && List.for_all decodes_soundly junk)
+
+(* The corruption matrix: cut real files (FILE, FILE.prev, journal),
+   then truncate each file at every byte boundary and flip random bits,
+   checking that recovery always lands on one of the states the writer
+   actually cut (structural equality) — one damaged file never costs
+   both cuts — and, with both cuts damaged, fails with a message naming
+   the file.  Never an exception. *)
 let test_chain_corruption_matrix () =
   with_tmp_dir (fun dir ->
       let g = network ~users:4 ~switches:10 71 in
@@ -817,30 +863,24 @@ let test_chain_corruption_matrix () =
         Workload.spec ~requests:16 ~arrivals:(Workload.Poisson 0.6) ()
       in
       let reqs = Workload.generate (Prng.create 72) g wspec in
-      let root = Filename.concat dir "m.ckpt" in
-      let jpath = Chain.journal_path root in
-      (* Cadence above the cut count: the chain never rebases, so the
-         delta files are guaranteed to still exist at run end. *)
-      let writer =
-        Chain.create ~path:root ~config:"matrix" ~every:100 ~journal:jpath ()
-      in
+      let path = Filename.concat dir "m.ckpt" in
+      let jpath = Filename.concat dir "m.journal" in
+      let writer = Checkpoint.writer ~path ~config:"matrix" ~journal:jpath () in
       let states = ref [] in
       let sink _ snap =
-        match Chain.cut writer snap with
+        match Checkpoint.cut writer snap with
         | Ok _ -> states := snap :: !states
         | Error m -> Alcotest.fail m
       in
       let _ =
-        Engine.run ~on_transition:(Chain.on_transition writer)
+        Engine.run ~on_transition:(Checkpoint.on_transition writer)
           ~checkpoint:(5., sink) g params ~requests:reqs
       in
-      Chain.close writer;
-      check_bool "cut a real chain" true (List.length !states >= 2);
-      check_bool "chain has deltas" true (Sys.file_exists (Chain.delta_path root 1));
-      let files =
-        List.filter Sys.file_exists
-          (root :: jpath :: List.map (Chain.delta_path root) [ 1; 2; 3; 4 ])
-      in
+      Checkpoint.close writer;
+      check_bool "cut at least twice" true (List.length !states >= 2);
+      let files = [ path; Checkpoint.prev_path path; jpath ] in
+      check_bool "FILE, FILE.prev and the journal exist" true
+        (List.for_all Sys.file_exists files);
       let originals = List.map (fun p -> (p, read_file p)) files in
       let restore_all () =
         List.iter (fun (p, data) -> write_file p data) originals
@@ -848,25 +888,24 @@ let test_chain_corruption_matrix () =
       let attempts = ref 0 and degraded = ref 0 in
       let recover_must_be_sane ~mutated () =
         incr attempts;
-        match Chain.recover ~path:root ~config:"matrix" ~journal:jpath () with
+        match Checkpoint.recover ~path ~config:"matrix" ~journal:jpath () with
         | exception e ->
             Alcotest.fail
               (Printf.sprintf "recovery raised %s after corrupting %s"
                  (Printexc.to_string e) mutated)
         | Error m ->
-            incr degraded;
-            check_bool
-              (Printf.sprintf "error names a file (%s)" m)
-              true
-              (Astring.String.is_infix ~affix:dir m)
+            (* One damaged file never costs both cuts. *)
+            Alcotest.fail
+              (Printf.sprintf "recovery failed after corrupting only %s: %s"
+                 mutated m)
         | Ok r ->
-            if r.Chain.r_warnings <> [] then incr degraded;
+            if r.Checkpoint.r_warnings <> [] then incr degraded;
             check_bool
               (Printf.sprintf "recovered state after corrupting %s is one \
                                the writer cut" mutated)
               true
               (List.exists
-                 (fun s -> compare s r.Chain.r_snapshot = 0)
+                 (fun s -> compare s r.Checkpoint.r_snapshot = 0)
                  !states)
       in
       List.iter
@@ -879,7 +918,7 @@ let test_chain_corruption_matrix () =
             recover_must_be_sane ~mutated:(Filename.basename path) ()
           done;
           (* Deterministic pseudo-random bit flips across the file. *)
-          let rng = Prng.create (Hashtbl.hash path) in
+          let rng = Prng.create (Hashtbl.hash (Filename.basename path)) in
           for _ = 1 to 40 do
             restore_all ();
             let bit = Prng.int rng (8 * n) in
@@ -891,9 +930,24 @@ let test_chain_corruption_matrix () =
             recover_must_be_sane ~mutated:(Filename.basename path) ()
           done)
         originals;
+      (* Both cuts corrupt: no valid restore point remains. *)
+      restore_all ();
+      List.iter
+        (fun p -> write_file p (read_file p ^ "garbage"))
+        [ path; Checkpoint.prev_path path ];
+      expect_error "both cuts corrupt" "m.ckpt"
+        (Checkpoint.recover ~path ~config:"matrix" ~journal:jpath ());
+      (* A file whose footer is correct but whose body is not a snapshot
+         is named, not thrown. *)
+      let body = Checkpoint.version ^ "\n(config matrix)\n\x07\xff\n" in
+      write_file path (with_footer body);
+      expect_error "corrupt body under a good footer" "malformed snapshot body"
+        (Checkpoint.load ~path ~config:"matrix");
       restore_all ();
       check_bool "matrix exercised many mutations" true (!attempts > 100);
-      check_bool "most mutations degraded detectably" true (!degraded > 0))
+      check_bool "most mutations degraded detectably" true (!degraded > 0));
+  (* Below the footer: the decoder alone, over real snapshots. *)
+  QCheck.Test.check_exn prop_decoder_total
 
 (* Torn journal tails are a warning plus fewer records, never a loss of
    the prefix. *)
@@ -953,8 +1007,7 @@ let test_journal_torn_tail () =
 (* Streaming writes at scale                                           *)
 
 (* A snapshot carrying 100k-switch quota/residual sections round-trips
-   through the streamed writer without materialising in memory as one
-   string, and bit-identically. *)
+   through a cut file structurally. *)
 let test_checkpoint_streams_large_snapshot () =
   let _, _, snap = snapshot_of 73 in
   let big = List.init 100_000 (fun i -> (i, (i * 7 mod 13) + 1)) in
@@ -1002,13 +1055,6 @@ let () =
           Alcotest.test_case "primitives" `Quick test_wire_primitives;
           qc prop_wire_metrics_roundtrip;
         ] );
-      ( "delta",
-        [
-          Alcotest.test_case "diff/apply reconstructs" `Quick
-            test_delta_reconstructs;
-          Alcotest.test_case "rejects wrong base and junk" `Quick
-            test_delta_rejects_wrong_base;
-        ] );
       ( "chain",
         [
           Alcotest.test_case "clean crash drill" `Quick test_chain_drill_clean;
@@ -1019,7 +1065,7 @@ let () =
           Alcotest.test_case "corruption matrix" `Quick
             test_chain_corruption_matrix;
           Alcotest.test_case "journal torn tail" `Quick test_journal_torn_tail;
-          qc prop_chain_restore_any_instant;
+          qc prop_files_restore_any_cut;
         ] );
       ( "reconfig",
         [
