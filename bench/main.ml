@@ -920,68 +920,6 @@ let parallel_section () =
           ] );
     ]
 
-(* Sharded serving benchmark: a batched-arrival workload (synchronised
-   demand spikes, the adversarial case for admission) served by the
-   concurrent engine at each --jobs level and two demand batch sizes.
-   served/s is the perf trajectory; report_equal asserts the
-   byte-identity contract against the jobs=1 run of the same batch
-   size.  Telemetry counters are NOT compared here: speculative solves
-   add online.route spans by design (see DESIGN.md), so the equality
-   contract covers the report only.  The request count is fixed — NOT
-   scaled by MUERP_REPLICATIONS — so the served counts stay comparable
-   between the committed snapshot and smoke runs (bench_guard pins
-   them per config). *)
-
-let serving_batch_sizes = [ 4; 8 ]
-let serving_requests = 240
-
-let serving_scenario ?pool batch =
-  let module W = Qnet_online.Workload in
-  let rng = Qnet_util.Prng.create 42 in
-  let g = Qnet_topology.Waxman.generate rng Qnet_topology.Spec.default in
-  let params = Qnet_core.Params.default in
-  let wspec =
-    W.spec ~requests:serving_requests
-      ~arrivals:(W.Batched { period = 1.5; size = batch })
-      ()
-  in
-  let reqs = W.generate (Qnet_util.Prng.create 8_233) g wspec in
-  let policy = Option.get (Qnet_online.Policy.of_name "prim") in
-  let config = Qnet_online.Engine.config policy in
-  fst (Qnet_online.Engine.run ~config ?pool g params ~requests:reqs)
-
-let serving_section () =
-  let module E = Qnet_online.Engine in
-  Printf.printf "serving bench — %d requests per run\n%!" serving_requests;
-  let rows =
-    List.concat_map
-      (fun batch ->
-        let runs = bench_jobs_levels (fun pool -> serving_scenario ?pool batch) in
-        let _, serial_wall, baseline, _ = List.hd runs in
-        List.map
-          (fun (jobs, wall, (r : E.report), _) ->
-            jobj
-              [
-                ("config", jstr (Printf.sprintf "batch%d-j%d" batch jobs));
-                ("batch", string_of_int batch);
-                ("jobs", string_of_int jobs);
-                ("served", string_of_int r.E.served);
-                ("wall_s", jfloat wall);
-                ("served_per_s", jfloat (float_of_int r.E.served /. wall));
-                ("speedup", jfloat (serial_wall /. wall));
-                ("report_equal", string_of_bool (r = baseline));
-              ])
-          runs)
-      serving_batch_sizes
-  in
-  jobj
-    [
-      ("jobs_levels", jarr (List.map string_of_int parallel_jobs_levels));
-      ("batch_sizes", jarr (List.map string_of_int serving_batch_sizes));
-      ("requests", string_of_int serving_requests);
-      ("runs", jarr rows);
-    ]
-
 (* Resilience: checkpoint-cadence overhead on a fixed faulty scenario,
    restored-report equality at every cut (the crash-recovery drill), and
    live-reconfiguration recovery counts.  Counts, byte sizes and
@@ -1218,7 +1156,6 @@ let snapshot path =
   in
   let flow = flow_section () in
   let parallel = parallel_section () in
-  let serving = serving_section () in
   let resilience = resilience_section () in
   let registry = List.filter (fun (_, v) -> Tm.touched v) (Tm.snapshot ()) in
   let methods =
@@ -1257,7 +1194,7 @@ let snapshot path =
   let doc =
     jobj
       [
-        ("schema", jstr "muerp-bench-snapshot/11");
+        ("schema", jstr "muerp-bench-snapshot/12");
         ("replications", string_of_int replications);
         ("methods", jarr methods);
         ("traffic", jarr traffic);
@@ -1266,7 +1203,6 @@ let snapshot path =
         ("hier", jarr hier);
         ("flow", jarr flow);
         ("parallel", parallel);
-        ("serving", serving);
         ("resilience", resilience);
         ("counters", jobj counters);
         ("gauges", jobj gauges);

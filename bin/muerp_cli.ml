@@ -275,21 +275,11 @@ let solve_run verbose seed users switches degree qubits q alpha topology load
   let network =
     match load with
     | Some path -> (
-        (* load_graph reports parse problems as [Error] but lets I/O
-           exceptions escape; a missing or unreadable file must be a
-           clean CLI error, not a backtrace. *)
-        match
-          try
-            Result.map_error
-              (fun msg -> path ^ ": " ^ msg)
-              (Qnet_graph.Codec.load_graph path)
-          with
-          (* [Sys_error] messages already name the path. *)
-          | Sys_error msg -> Error msg
-          | Failure msg -> Error (path ^ ": " ^ msg)
-        with
+        (* A missing, unreadable or malformed file is a file problem:
+           exit 2 with the path in the message. *)
+        match Qnet_graph.Codec.load_graph path with
         | Ok g -> Ok (g, None)
-        | Error msg -> Error (`Msg msg))
+        | Error msg -> prerr_endline msg; exit 2)
     | None -> build_network_labeled ~seed ~topology ~regions ~spec
   in
   match network with
@@ -1074,13 +1064,9 @@ let traffic_run verbose seed users switches degree qubits q alpha topology
     fail_on_sla fault_mtbf fault_mttr fault_targets fault_regional
     fault_radius recovery_name checkpoint_every checkpoint_file
     journal_file restore_file reconfig_file halt_at
-    drill_every jobs slot show_outcomes metrics =
+    drill_every jobs show_outcomes metrics =
   apply_verbose verbose;
   metrics_begin metrics;
-  if slot < 0. || not (Float.is_finite slot) then begin
-    prerr_endline "--slot must be a finite time >= 0";
-    exit 1
-  end;
   if checkpoint_every < 0. || not (Float.is_finite checkpoint_every) then begin
     prerr_endline "--checkpoint-every must be a finite time >= 0";
     exit 1
@@ -1291,15 +1277,11 @@ let traffic_run verbose seed users switches degree qubits q alpha topology
         | None -> []
         | Some path -> (
             let data =
-              try
-                let ic = open_in_bin path in
-                let n = in_channel_length ic in
-                let data = really_input_string ic n in
-                close_in ic;
-                data
-              with Sys_error m ->
-                Printf.eprintf "cannot read reconfig file: %s\n" m;
-                exit 2
+              match Qnet_util.Io.read_file path with
+              | Ok data -> data
+              | Error m ->
+                  Printf.eprintf "cannot read reconfig file: %s\n" m;
+                  exit 2
             in
             match Qnet_util.Sexp.of_string (String.trim data) with
             | Error m ->
@@ -1322,9 +1304,9 @@ let traffic_run verbose seed users switches degree qubits q alpha topology
       in
       (* Everything that shapes the deterministic run — a checkpoint
          only restores byte-identically under identical inputs.  --jobs
-         and --slot are deliberately absent: results are invariant
-         across them, so a checkpoint cut at one parallelism level may
-         be restored at another. *)
+         is deliberately absent: serving is serial and the pool only
+         parallelises the read-only verification pass, so a checkpoint
+         cut at one --jobs level may be restored at another. *)
       let fingerprint =
         Format.asprintf
           "seed=%d topology=%s users=%d switches=%d degree=%.17g qubits=%d \
@@ -1354,7 +1336,7 @@ let traffic_run verbose seed users switches degree qubits q alpha topology
           try
             with_jobs jobs (fun pool ->
                 Qnet_resilience.Drill.crash_restore ~config ?faults ~reconfig
-                  ?pool ~slot ~every:drill_every g params ~requests:reqs)
+                  ?pool ~every:drill_every g params ~requests:reqs)
           with Invalid_argument msg -> prerr_endline msg; exit 1
         in
         Format.printf "%a@." Qnet_resilience.Drill.pp drill;
@@ -1432,7 +1414,7 @@ let traffic_run verbose seed users switches degree qubits q alpha topology
       let report, outcomes =
         try
           with_jobs jobs (fun pool ->
-              Qnet_online.Engine.run ~config ?faults ?pool ?on_health ~slot
+              Qnet_online.Engine.run ~config ?faults ?pool ?on_health
                 ?on_transition ?checkpoint ~reconfig ?restore_from g params
                 ~requests:reqs)
         with Invalid_argument msg ->
@@ -1719,17 +1701,6 @@ let traffic_cmd =
     in
     Arg.(value & flag & info [ "gap" ] ~doc)
   in
-  let slot_t =
-    let doc =
-      "Batched serving window: with --jobs > 1, drain all events within \
-       $(docv) time units of the earliest pending event and solve their \
-       routing concurrently against capacity snapshots before the \
-       deterministic commit (0 batches same-timestamp events only).  \
-       Results are byte-identical at every --jobs level and every \
-       window — batching is purely a throughput knob."
-    in
-    Arg.(value & opt float 0. & info [ "slot" ] ~docv:"DT" ~doc)
-  in
   let fail_on_sla_t =
     let doc =
       "Exit nonzero when the acceptance ratio falls below $(docv) \
@@ -1829,7 +1800,7 @@ let traffic_cmd =
       $ fail_on_sla_t $ fault_mtbf_t $ fault_mttr_t $ fault_targets_t
       $ fault_regional_t $ fault_radius_t $ recovery_t
       $ checkpoint_every_t $ checkpoint_file_t $ journal_t $ restore_t
-      $ reconfig_file_t $ halt_at_t $ drill_t $ jobs_t $ slot_t
+      $ reconfig_file_t $ halt_at_t $ drill_t $ jobs_t
       $ outcomes_t $ metrics_t)
 
 (* ------------------------------------------------------------------ *)
@@ -1840,12 +1811,12 @@ let inspect_run path =
     exit 2
   in
   let header =
-    try
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> try input_line ic with End_of_file -> "")
-    with Sys_error m -> fail ("cannot read " ^ m)
+    match Qnet_util.Io.read_file path with
+    | Ok data -> (
+        match String.index_opt data '\n' with
+        | Some i -> String.sub data 0 i
+        | None -> data)
+    | Error m -> fail ("cannot read " ^ m)
   in
   if String.starts_with ~prefix:"muerp-checkpoint" header then
     match Qnet_resilience.Checkpoint.read ~path with

@@ -1,23 +1,10 @@
 module Graph = Qnet_graph.Graph
 
-(* Dense residual state, optionally wrapped by a copy-on-write overlay:
-   an overlay shares the base residual array read-only and keeps its own
-   writes in [delta], so speculative solvers can consume qubits from a
-   snapshot without copying (or disturbing) the live state.  [version]
-   counts mutations of a dense state; overlay writes never touch it, so
-   an unchanged version number certifies that a snapshot taken earlier
-   is still an exact view of the live residual state. *)
 (* [quota] is the provisioned qubit budget per switch — it starts as the
    graph's static qubit counts but live re-provisioning (switch
    upgrades/downgrades mid-run) can move it, which is why [used] must be
    computed against the quota rather than the immutable graph. *)
-type t = {
-  graph : Graph.t;
-  quota : int array;
-  residual : int array;
-  delta : (int, int) Hashtbl.t option;  (* [Some] ⇒ COW view over [residual] *)
-  mutable version : int;
-}
+type t = { graph : Graph.t; quota : int array; residual : int array }
 
 let of_graph graph =
   let n = Graph.vertex_count graph in
@@ -25,50 +12,15 @@ let of_graph graph =
     Array.init n (fun v ->
         if Graph.is_switch graph v then Graph.qubits graph v else 0)
   in
-  { graph; quota; residual = Array.copy quota; delta = None; version = 0 }
-
-let residual_of t v =
-  match t.delta with
-  | None -> t.residual.(v)
-  | Some d -> (
-      match Hashtbl.find_opt d v with
-      | Some r -> r
-      | None -> t.residual.(v))
-
-let set t v r =
-  match t.delta with
-  | None ->
-      t.residual.(v) <- r;
-      t.version <- t.version + 1
-  | Some d -> Hashtbl.replace d v r
+  { graph; quota; residual = Array.copy quota }
 
 let copy t =
-  match t.delta with
-  | None ->
-      { t with quota = Array.copy t.quota; residual = Array.copy t.residual }
-  | Some d ->
-      (* Materialise the view: base plus delta collapses into a fresh
-         dense state, so the copy is independent of both. *)
-      let residual = Array.copy t.residual in
-      Hashtbl.iter (fun v r -> residual.(v) <- r) d;
-      { t with quota = Array.copy t.quota; residual; delta = None }
-
-let overlay t =
-  {
-    t with
-    delta =
-      Some
-        (match t.delta with
-        | None -> Hashtbl.create 16
-        | Some d -> Hashtbl.copy d);
-  }
-
-let version t = t.version
+  { t with quota = Array.copy t.quota; residual = Array.copy t.residual }
 
 let remaining t v =
-  if Graph.is_user t.graph v then max_int else residual_of t v
+  if Graph.is_user t.graph v then max_int else t.residual.(v)
 
-let can_relay t v = Graph.is_user t.graph v || residual_of t v >= 2
+let can_relay t v = Graph.is_user t.graph v || t.residual.(v) >= 2
 
 let interior path =
   match path with
@@ -84,18 +36,18 @@ let consume_channel t path =
   let switches =
     List.filter (fun v -> Graph.is_switch t.graph v) (interior path)
   in
-  if List.exists (fun v -> residual_of t v < 2) switches then
+  if List.exists (fun v -> t.residual.(v) < 2) switches then
     invalid_arg "Capacity.consume_channel: insufficient qubits";
-  List.iter (fun v -> set t v (residual_of t v - 2)) switches
+  List.iter (fun v -> t.residual.(v) <- t.residual.(v) - 2) switches
 
 let release_channel t path =
   List.iter
     (fun v ->
-      if Graph.is_switch t.graph v then set t v (residual_of t v + 2))
+      if Graph.is_switch t.graph v then t.residual.(v) <- t.residual.(v) + 2)
     (interior path)
 
 let used t v =
-  if Graph.is_user t.graph v then 0 else t.quota.(v) - residual_of t v
+  if Graph.is_user t.graph v then 0 else t.quota.(v) - t.residual.(v)
 
 let quota t v = t.quota.(v)
 
@@ -103,21 +55,18 @@ let quota t v = t.quota.(v)
    the residual by the same amount so in-flight consumption is
    preserved.  Shrinking below current usage legitimately drives the
    residual negative — the caller (the online engine) must recover
-   enough leases to restore it before admitting new work.  Dense states
-   only: an overlay is a speculative view and must never re-provision. *)
+   enough leases to restore it before admitting new work. *)
 let provision t v q =
-  if t.delta <> None then invalid_arg "Capacity.provision: overlay view";
   if not (Graph.is_switch t.graph v) then
     invalid_arg "Capacity.provision: not a switch";
   if q < 0 then invalid_arg "Capacity.provision: negative quota";
   let shift = q - t.quota.(v) in
   t.quota.(v) <- q;
-  t.residual.(v) <- t.residual.(v) + shift;
-  t.version <- t.version + 1
+  t.residual.(v) <- t.residual.(v) + shift
 
 let overcommitted t =
   let bad = ref [] in
   for v = Array.length t.residual - 1 downto 0 do
-    if residual_of t v < 0 then bad := v :: !bad
+    if t.residual.(v) < 0 then bad := v :: !bad
   done;
   !bad

@@ -12,25 +12,7 @@ val of_graph : Qnet_graph.Graph.t -> t
     budget. *)
 
 val copy : t -> t
-(** Independent snapshot — algorithms fork state when exploring.  Always
-    a fresh dense state: copying an {!overlay} materialises base plus
-    delta. *)
-
-val overlay : t -> t
-(** [overlay t] is a copy-on-write view of [t]: reads fall through to
-    [t]'s residual state, writes land in a private delta and never touch
-    [t].  O(1) to create (no array copy), which is what lets the batched
-    serving engine hand every speculative solver its own snapshot.
-    Overlaying an overlay forks the delta, so views nest safely.  The
-    view is only a faithful snapshot while the base is not mutated —
-    check {!version} to detect that. *)
-
-val version : t -> int
-(** Mutation counter of a dense state: bumped by every write from
-    {!consume_channel}/{!release_channel}.  Writes to an {!overlay}
-    never bump the base's version, so [version base] unchanged between
-    snapshot and commit certifies the snapshot still equals the live
-    state.  (An overlay reports the version its base had at creation.) *)
+(** Independent snapshot — algorithms fork state when exploring. *)
 
 val remaining : t -> int -> int
 (** [remaining t v] is the residual qubits of switch [v]; [max_int] for
@@ -65,9 +47,8 @@ val provision : t -> int -> int -> unit
     qubits, shifting the residual by the same delta so current
     consumption is preserved.  Shrinking below current usage leaves the
     residual {e negative}; the caller must recover leases through [v]
-    until it is non-negative again.  Bumps {!version}.
-    @raise Invalid_argument on an overlay view, a user vertex, or a
-    negative budget. *)
+    until it is non-negative again.
+    @raise Invalid_argument on a user vertex or a negative budget. *)
 
 val overcommitted : t -> int list
 (** Switch ids whose residual went negative — always empty unless

@@ -17,9 +17,7 @@ let policy ?(seed = 0xf10e5) () =
   {
     Policy.name = "flow";
     (* Stateless: the rounding seed is a pure function of the user
-       group, so concurrent speculative solves replay identically —
-       and a restored run routes exactly like the original. *)
-    concurrent_safe = true;
+       group, so a restored run routes exactly like the original. *)
     checkpoint_safe = true;
     state = None;
     route =

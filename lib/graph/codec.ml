@@ -128,12 +128,10 @@ let save_graph path g =
       output_char oc '\n')
 
 let load_graph path =
-  let ic = open_in path in
-  let content =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  match Sexp.of_string content with
-  | Error msg -> Error ("parse error: " ^ msg)
-  | Ok sexp -> graph_of_sexp sexp
+  match Qnet_util.Io.read_file path with
+  | Error msg -> Error msg
+  | Ok content -> (
+      match Sexp.of_string content with
+      | Error msg -> Error (path ^ ": parse error: " ^ msg)
+      | Ok sexp ->
+          Result.map_error (fun msg -> path ^ ": " ^ msg) (graph_of_sexp sexp))

@@ -23,5 +23,5 @@ val save_graph : string -> Graph.t -> unit
     @raise Sys_error on I/O failure. *)
 
 val load_graph : string -> (Graph.t, string) result
-(** Read a network back from disk (parse or validation errors are
-    returned, I/O errors raised as [Sys_error]). *)
+(** Read a network back from disk.  I/O, parse and validation errors
+    are all returned as [Error], each message naming the file. *)

@@ -6,14 +6,12 @@ let policy oracle =
   let skeleton = Oracle.skeleton oracle in
   {
     Policy.name = "hier-prim";
-    (* The oracle's lazily filled segment cache is shared mutable
-       state — route calls must stay on one domain.  It *can* be
-       checkpointed, though: the cache contents ride in the snapshot's
-       policy-state section through the hooks below, so a restored run
-       resumes with exactly the warmth the original had (a cold cache
-       would diverge — segment reuse is optimistic, and warmth can
-       change which corridor wins). *)
-    concurrent_safe = false;
+    (* The oracle's lazily filled segment cache is hidden mutable
+       state, but it can be checkpointed: the cache contents ride in the
+       snapshot's policy-state section through the hooks below, so a
+       restored run resumes with exactly the warmth the original had (a
+       cold cache would diverge — segment reuse is optimistic, and
+       warmth can change which corridor wins). *)
     checkpoint_safe = true;
     state =
       Some

@@ -152,16 +152,6 @@ type event =
   | Fault of Fsched.event
   | Reconf of Reconfig.event
 
-(* Outcome of one speculative routing solve against a capacity
-   snapshot.  [Spec_none] and [Spec_exhausted] are verdicts the commit
-   loop can reuse directly (a request the policy could not serve on the
-   snapshot cannot be served on the identical live state); a
-   [Spec_tree] is re-validated against the live residual at commit. *)
-type speculation =
-  | Spec_tree of Ent_tree.t
-  | Spec_none
-  | Spec_exhausted
-
 type req_state = {
   req : Workload.request;
   mutable attempts : int;
@@ -543,12 +533,10 @@ let validate_schedule g schedule =
     schedule
 
 let run ?config:(cfg = config Policy.prim) ?faults ?fault_schedule ?on_incident
-    ?on_health ?on_transition ?pool ?(slot = 0.) ?checkpoint ?(reconfig = [])
-    ?restore_from g params ~requests =
+    ?on_health ?on_transition ?pool ?checkpoint ?(reconfig = []) ?restore_from
+    g params ~requests =
   validate g requests;
   Option.iter (validate_schedule g) fault_schedule;
-  if slot < 0. || not (Float.is_finite slot) then
-    invalid_arg "Engine.run: slot must be finite and >= 0";
   (if (checkpoint <> None || restore_from <> None)
       && not cfg.policy.Policy.checkpoint_safe
    then
@@ -566,8 +554,8 @@ let run ?config:(cfg = config Policy.prim) ?faults ?fault_schedule ?on_incident
   | Ok () -> ()
   | Error e -> invalid_arg ("Engine.run: " ^ e));
   (* Called from inside a parallel region (a policy or harness that is
-     itself running on a pool), nested submission would raise deep in
-     the loop: degrade to the serial path instead. *)
+     itself running on a pool), nested submission would raise in the
+     watchdog pass: verify serially instead. *)
   let pool =
     match pool with
     | Some _ when Qnet_util.Pool.in_parallel_region () -> None
@@ -668,38 +656,15 @@ let run ?config:(cfg = config Policy.prim) ?faults ?fault_schedule ?on_incident
     | None -> -1
     | Some stats -> stats.Policy.last
   in
-  (* [spec], when present, is a still-valid speculative solve for this
-     request against a snapshot equal to the current live state: a
-     non-tree verdict is reused as-is, a tree is admitted through
-     [Lease.commit] (and, defensively, re-solved live if the commit is
-     refused — unreachable while the validity check holds, but it keeps
-     admission sound regardless). *)
-  let try_serve ?spec t st =
+  let try_serve t st =
     let r = st.req in
     st.attempts <- st.attempts + 1;
     if inflight_full () then false
     else
-      let live_solve () =
-        match route_once r.Workload.users with
-        | None -> None
-        | Some tree -> Some (tree, Lease.acquire tree)
-      in
-      let admitted =
-        match spec with
-        | None -> live_solve ()
-        | Some (Spec_tree tree) -> (
-            match Lease.commit capacity tree with
-            | Some lease -> Some (tree, lease)
-            | None -> live_solve ())
-        | Some Spec_none -> None
-        | Some Spec_exhausted ->
-            incr budget_exhaustions;
-            Tm.Counter.incr c_budget_exhausted;
-            None
-      in
-      match admitted with
+      match route_once r.Workload.users with
       | None -> false
-      | Some (tree, lease) ->
+      | Some tree ->
+          let lease = Lease.acquire tree in
           let lid = !next_lease in
           incr next_lease;
           Hashtbl.replace active lid
@@ -774,7 +739,7 @@ let run ?config:(cfg = config Policy.prim) ?faults ?fault_schedule ?on_incident
               end
         end
   in
-  let on_arrival ?spec t (r : Workload.request) =
+  let on_arrival t (r : Workload.request) =
     Tm.Counter.incr c_arrivals;
     let st =
       {
@@ -808,7 +773,7 @@ let run ?config:(cfg = config Policy.prim) ?faults ?fault_schedule ?on_incident
       Tm.Counter.incr c_rejected;
       resolve st (Rejected { at = t; queue_full = false })
     end
-    else if not (try_serve ?spec t st) then
+    else if not (try_serve t st) then
       match cfg.admission with
       | Reject ->
           Tm.Counter.incr c_rejected;
@@ -827,7 +792,7 @@ let run ?config:(cfg = config Policy.prim) ?faults ?fault_schedule ?on_incident
             schedule_retry t st
           end
   in
-  let on_retry ?spec t id =
+  let on_retry t id =
     let st = Hashtbl.find states id in
     if st.waiting then
       if t >= st.req.Workload.deadline then
@@ -838,7 +803,7 @@ let run ?config:(cfg = config Policy.prim) ?faults ?fault_schedule ?on_incident
       else begin
         incr retries;
         Tm.Counter.incr c_retries;
-        if try_serve ?spec t st then
+        if try_serve t st then
           queue := List.filter (fun i -> i <> id) !queue
         else schedule_retry t st
       end
@@ -1012,11 +977,6 @@ let run ?config:(cfg = config Policy.prim) ?faults ?fault_schedule ?on_incident
     | Some f ->
         f { at = t; request_id = a.st.req.Workload.id; element; before; after }
   in
-  (* A fault transition invalidates every outstanding speculation even
-     when no capacity moved: exclusion state steers routing, so a
-     snapshot from before the transition no longer predicts what the
-     live solve would return. *)
-  let batch_dirty = ref false in
   let on_fault t (fe : Fsched.event) =
     match health with
     | None -> ()
@@ -1024,7 +984,6 @@ let run ?config:(cfg = config Policy.prim) ?faults ?fault_schedule ?on_incident
         match Fhealth.apply h fe with
         | Fhealth.No_change -> ()
         | Fhealth.Went_down ->
-            batch_dirty := true;
             incr faults_injected;
             Tm.Counter.incr c_faults_injected;
             (let link, element = element_parts fe.Fsched.element in
@@ -1042,7 +1001,6 @@ let run ?config:(cfg = config Policy.prim) ?faults ?fault_schedule ?on_incident
             List.iter (recover t fe.element) affected;
             if affected <> [] then rescan_queue t
         | Fhealth.Came_up ->
-            batch_dirty := true;
             incr faults_repaired;
             Tm.Counter.incr c_faults_repaired;
             (let link, element = element_parts fe.Fsched.element in
@@ -1065,7 +1023,6 @@ let run ?config:(cfg = config Policy.prim) ?faults ?fault_schedule ?on_incident
           match Fhealth.apply h { Fsched.time = t; element; up } with
           | Fhealth.No_change -> ()
           | Fhealth.Went_down ->
-              batch_dirty := true;
               incr reconfig_applied;
               Tm.Counter.incr c_reconfig_applied;
               (let link, el = element_parts element in
@@ -1079,7 +1036,6 @@ let run ?config:(cfg = config Policy.prim) ?faults ?fault_schedule ?on_incident
               List.iter (recover ~admin:true t element) affected;
               if affected <> [] then rescan_queue t
           | Fhealth.Came_up ->
-              batch_dirty := true;
               incr reconfig_applied;
               Tm.Counter.incr c_reconfig_applied;
               (let link, el = element_parts element in
@@ -1092,7 +1048,6 @@ let run ?config:(cfg = config Policy.prim) ?faults ?fault_schedule ?on_incident
     | Reconfig.Link_remove e -> admin_transition (Fsched.Link e) false
     | Reconfig.Link_add e -> admin_transition (Fsched.Link e) true
     | Reconfig.Provision { switch = v; qubits = q } ->
-        batch_dirty := true;
         incr reconfig_applied;
         Tm.Counter.incr c_reconfig_applied;
         emit (T_provision { at = t; switch = v; qubits = q });
@@ -1389,23 +1344,23 @@ let run ?config:(cfg = config Policy.prim) ?faults ?fault_schedule ?on_incident
     | Expiry lid -> not (Hashtbl.mem active lid)
     | Arrival _ | Retry _ -> false
   in
-  let dispatch ?spec t ev =
+  let dispatch t ev =
     if not (inert ev) then begin
       util_integral :=
         !util_integral +. ((t -. !last_time) *. float_of_int !in_use);
       last_time := t;
       makespan := max !makespan t;
       match ev with
-      | Arrival r -> on_arrival ?spec t r
-      | Retry id -> on_retry ?spec t id
+      | Arrival r -> on_arrival t r
+      | Retry id -> on_retry t id
       | Expiry lid -> on_expiry t lid
       | Fault fe -> on_fault t fe
       | Reconf re -> on_reconf t re
     end
   in
-  (* Checkpoint cadence.  Snapshots are cut at drain-loop boundaries —
-     between batches the state is exactly "everything before the next
-     event", which is what a restore replays from.  A restored run
+  (* Checkpoint cadence.  Snapshots are cut between events — the state
+     is then exactly "everything before the next event", which is what a
+     restore replays from.  A restored run
      resumes the original cadence (the snapshot records the next
      instant), so its own checkpoints land where the uninterrupted
      run's would. *)
@@ -1554,128 +1509,22 @@ let run ?config:(cfg = config Policy.prim) ?faults ?fault_schedule ?on_incident
       s_metrics = (if Tm.enabled () then Some (Tm.dump ()) else None);
     }
   in
-  (* Speculation: solve every routable request of a drained batch
-     concurrently against a zero-copy snapshot of the residual state.
-     Each task gets its own [Capacity.overlay] view, so the live state
-     is read-only for the whole parallel region; results keyed by
-     request id, tagged with the capacity version they were solved
-     under.  Which requests to solve is a prediction, not a commitment:
-     a dry-run copy of the rate limiter skips arrivals the live limiter
-     will shed, and retries are screened by their queue/deadline state
-     at drain time — over- or under-speculation only wastes or forgoes
-     work, never changes a result. *)
-  let speculate batch =
-    match pool with
-    | Some p
-      when cfg.policy.Policy.concurrent_safe && Qnet_util.Pool.jobs p > 1 -> (
-        let lim = Option.map Limiter.copy limiter in
-        let seen = Hashtbl.create 16 in
-        let cands = ref [] in
-        List.iter
-          (fun (t, _, ev) ->
-            match ev with
-            | Arrival r ->
-                let admitted =
-                  match lim with
-                  | None -> true
-                  | Some l -> Limiter.try_take l ~now:t
-                in
-                if admitted && not (Hashtbl.mem seen r.Workload.id) then begin
-                  Hashtbl.replace seen r.Workload.id ();
-                  cands := (r.Workload.id, r.Workload.users) :: !cands
-                end
-            | Retry id -> (
-                match Hashtbl.find_opt states id with
-                | Some st
-                  when st.waiting
-                       && t < st.req.Workload.deadline
-                       && not (Hashtbl.mem seen id) ->
-                    Hashtbl.replace seen id ();
-                    cands := (id, st.req.Workload.users) :: !cands
-                | _ -> ())
-            | Expiry _ | Fault _ | Reconf _ -> ())
-          batch;
-        let cands = Array.of_list (List.rev !cands) in
-        if Array.length cands < 2 then None
-        else begin
-          let solve users () =
-            match
-              Qnet_telemetry.Span.with_span "online.route" (fun () ->
-                  cfg.policy.Policy.route ~exclude ~budget:(fresh_budget ())
-                    g params
-                    ~capacity:(Capacity.overlay capacity)
-                    ~users)
-            with
-            | Some tree -> Spec_tree tree
-            | None -> Spec_none
-            | exception Budget.Exhausted _ -> Spec_exhausted
-          in
-          let results =
-            Qnet_util.Pool.map_thunks p
-              (Array.map (fun (_, users) -> solve users) cands)
-          in
-          let specs = Hashtbl.create (Array.length cands) in
-          Array.iteri
-            (fun i r -> Hashtbl.replace specs (fst cands.(i)) r)
-            results;
-          Some (specs, Capacity.version capacity)
-        end)
-    | _ -> None
-  in
-  (* Commit: replay the drained batch in its exact (time, seq) order,
-     merged with any events pushed while committing (their seqs are
-     larger, so the comparison reproduces the serial pop order).  A
-     speculation is honoured only while the live state still equals its
-     snapshot — any capacity mutation or fault transition since then
-     invalidates the whole batch's remaining specs, and those requests
-     re-solve on the live residual exactly as the serial path would. *)
-  let commit_batch specs batch =
-    let spec_of ev =
-      match specs with
-      | None -> None
-      | Some (tbl, snap_version) ->
-          if !batch_dirty || Capacity.version capacity <> snap_version then
-            None
-          else (
-            match ev with
-            | Arrival r -> Hashtbl.find_opt tbl r.Workload.id
-            | Retry id -> Hashtbl.find_opt tbl id
-            | Expiry _ | Fault _ | Reconf _ -> None)
-    in
-    let rec go = function
-      | [] -> ()
-      | (bt, bseq, ev) :: rest as pending -> (
-          match Event_queue.peek_key events with
-          | Some (qt, qseq) when qt < bt || (qt = bt && qseq < bseq) ->
-              (match Event_queue.pop events with
-              | Some (t, ev') -> dispatch t ev'
-              | None -> ());
-              go pending
-          | _ ->
-              dispatch ?spec:(spec_of ev) bt ev;
-              go rest)
-    in
-    go batch
-  in
   let rec drain () =
     match Event_queue.peek_time events with
     | None -> ()
     | Some t0 ->
         (match checkpoint with
         | Some (every, sink) ->
-            (* Emit every due checkpoint before touching the batch: the
-               state right now is exactly "all events before [t0]
-               processed", the boundary a restore resumes from. *)
+            (* Emit every due checkpoint before the next event: the state
+               right now is exactly "all events before [t0] processed",
+               the boundary a restore resumes from. *)
             while !next_ckpt <= t0 do
               let c = !next_ckpt in
               next_ckpt := c +. every;
               sink c (make_snapshot c)
             done
         | None -> ());
-        let upto = if slot > 0. then t0 +. slot else t0 in
-        let batch = Event_queue.drain_until events ~upto in
-        batch_dirty := false;
-        commit_batch (speculate batch) batch;
+        Option.iter (fun (t, ev) -> dispatch t ev) (Event_queue.pop events);
         drain ()
   in
   drain ();

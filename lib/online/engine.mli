@@ -39,15 +39,14 @@
     a {!Policy.tiered} policy plugs in through [tier_stats] so the
     report can attribute each served request to its degradation tier.
 
-    {b Determinism.}  Events commit in one total order — (time, push
-    seq), with lease ids assigned at commit — and the fault schedule is
-    materialised before the run from the fault model's own seed.  With a
-    pool, batches of same-window events are {e speculatively} solved in
-    parallel against capacity snapshots, but commit re-validates every
-    speculation against the live state in that same serial order
-    (snapshot/solve/commit; see {!run}).  A fixed (workload, fault)
-    seed therefore reproduces the report bit-for-bit at every [--jobs]
-    level and every [slot] window.
+    {b Determinism.}  Serving is serial: the loop pops one event at a
+    time in one total order — (time, push seq) — and routes it against
+    the live residual state, with lease ids assigned as leases start.
+    The fault schedule is materialised before the run from the fault
+    model's own seed.  A fixed (workload, fault) seed therefore
+    reproduces the report bit-for-bit, at every [--jobs] level (the pool
+    only parallelises the read-only verification pass) and after a
+    restore at any cut.
 
     {b Self-checking.}  Every repaired or rerouted tree passes
     {!Qnet_core.Verify.check_exn} before re-entering service, every
@@ -234,7 +233,7 @@ type report = {
     caches ({!Policy.state_hooks}) and telemetry registry.  Restoring
     it into {!run} (with the {e same} graph, params, workload, and
     flags) continues the run to a report byte-identical to the
-    uninterrupted one, at every [--jobs] level and [slot] window.
+    uninterrupted one, at every [--jobs] level.
 
     The record and its component types are concrete so the checkpoint
     codec ({!Qnet_resilience.Checkpoint}), the only module that knows
@@ -388,7 +387,6 @@ val run :
   ?on_health:(Qnet_faults.Health.t -> unit) ->
   ?on_transition:(transition -> unit) ->
   ?pool:Qnet_util.Pool.t ->
-  ?slot:float ->
   ?checkpoint:float * (float -> snapshot -> unit) ->
   ?reconfig:Reconfig.event list ->
   ?restore_from:snapshot ->
@@ -415,24 +413,12 @@ val run :
     restored run starts emitting at its cut, exactly where the original
     run's journal left off).
 
-    [pool] enables the {e batched concurrent serving} path: at each
-    round the engine drains the batch of same-timestamp events ([slot]
-    widens the window to [\[t, t + slot\]], default [0.]), solves every
-    routable request of the batch concurrently against zero-copy
-    {!Qnet_core.Capacity.overlay} snapshots of the residual state, then
-    commits in the exact serial event order, re-validating each
-    speculative tree against the live residual
-    ({!Qnet_sim.Scheduler.Lease.commit}) and re-solving live whenever
-    the state moved since the snapshot (any capacity mutation or fault
-    transition).  Speculation requires the policy to declare
-    {!Policy.t.concurrent_safe}; otherwise — and when called from
-    inside a parallel region — the pool is used only for the read-only
-    final verification pass.  Either way the resolution stream, lease
-    ids, report and [online.*] counters are byte-identical to the
-    serial engine at every pool size and every [slot]; parallelism and
-    batching are pure go-faster knobs.  Outcomes are returned in
-    request-id order.  Deterministic: identical inputs give identical
-    reports and outcomes at every pool size.
+    [pool] parallelises only the read-only watchdog pass that
+    re-validates every served tree after the loop ends; serving itself
+    is serial.  Called from inside a parallel region, the engine ignores
+    the pool and verifies serially.  Outcomes are returned in request-id
+    order.  Deterministic: identical inputs give identical reports,
+    outcomes and [online.*] counters with or without a pool.
 
     [checkpoint = (every, sink)] cuts a {!snapshot} at each multiple of
     [every] (simulation time), calling [sink instant snapshot] at the
@@ -459,7 +445,7 @@ val run :
     faults before reconfigurations.
     @raise Invalid_argument on malformed requests (non-user members,
     fewer than 2 users, duplicate ids, negative times, deadline before
-    arrival), a negative/non-finite [slot], a non-positive checkpoint
+    arrival), a non-positive checkpoint
     interval, an invalid [reconfig] list ({!Reconfig.validate}), a
     checkpoint/restore request under a non-[checkpoint_safe] policy, or
     a [restore_from] snapshot inconsistent with this run's graph,

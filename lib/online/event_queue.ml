@@ -75,30 +75,6 @@ let pop q =
 
 let peek_time q = if q.size = 0 then None else Some q.data.(0).time
 
-let peek_key q =
-  if q.size = 0 then None else Some (q.data.(0).time, q.data.(0).seq)
-
-(* Pop every event with [time <= upto], in (time, seq) order — the exact
-   sequence a pop loop would have produced, packaged as one batch (with
-   each event's insertion seq) so the engine can speculate over it and
-   still commit in the serial total order. *)
-let drain_until q ~upto =
-  if Float.is_nan upto then invalid_arg "Event_queue.drain_until: NaN bound";
-  let rec collect acc =
-    match peek_key q with
-    | Some (t, seq) when t <= upto -> (
-        match pop q with
-        | Some (_, payload) -> collect ((t, seq, payload) :: acc)
-        | None -> List.rev acc)
-    | _ -> List.rev acc
-  in
-  collect []
-
-(* All events sharing the earliest timestamp, FIFO among them; the
-   same-instant batch the slotless engine serves in one round. *)
-let pop_batch q =
-  match peek_time q with None -> [] | Some t -> drain_until q ~upto:t
-
 let clear q = q.size <- 0
 
 (* Snapshot support: dump every pending entry with its insertion seq,

@@ -27,23 +27,6 @@ val pop : 'a t -> (float * 'a) option
 val peek_time : 'a t -> float option
 (** Timestamp of the next event without removing it. *)
 
-val peek_key : 'a t -> (float * int) option
-(** [(time, seq)] of the next event without removing it.  [seq] is the
-    queue's insertion counter — the FIFO tiebreaker — exposed so a
-    batched consumer can merge a drained batch with events pushed while
-    committing it, in the exact order a pop loop would have used. *)
-
-val drain_until : 'a t -> upto:float -> (float * int * 'a) list
-(** Pop every event with [time <= upto], returned in (time, seq) order —
-    exactly the sequence repeated {!pop}s would have produced, with each
-    event's [seq] included.  The slot-windowed batch of the serving
-    engine.  @raise Invalid_argument on a NaN bound. *)
-
-val pop_batch : 'a t -> (float * int * 'a) list
-(** All events sharing the earliest timestamp, FIFO among them (empty
-    list when the queue is empty): [drain_until] with the head
-    timestamp as the bound. *)
-
 val clear : 'a t -> unit
 
 val entries : 'a t -> (float * int * 'a) list

@@ -18,7 +18,6 @@ type state_hooks = {
 
 type t = {
   name : string;
-  concurrent_safe : bool;
   checkpoint_safe : bool;
   state : state_hooks option;
   route :
@@ -50,7 +49,6 @@ let try_consume capacity (tree : Ent_tree.t) =
 let prim =
   {
     name = "prim";
-    concurrent_safe = true;
     checkpoint_safe = true;
     state = None;
     route =
@@ -125,7 +123,6 @@ let of_algorithm alg =
   in
   {
     name;
-    concurrent_safe = true;
     checkpoint_safe = true;
     state = None;
     route =
@@ -140,7 +137,6 @@ let of_algorithm alg =
 let eqcast =
   {
     name = "eqcast";
-    concurrent_safe = true;
     checkpoint_safe = true;
     state = None;
     route =
@@ -236,10 +232,9 @@ let cached inner =
   let table : (int list, Ent_tree.t) Hashtbl.t = Hashtbl.create 64 in
   {
     name = "cached-" ^ inner.name;
-    (* The memo table is shared mutable state touched on every call, so
-       speculation stays off; checkpointing is fine — the state hooks
-       above carry the exact table contents across a restore. *)
-    concurrent_safe = false;
+    (* The memo table is mutable state touched on every call;
+       checkpointing is fine — the state hooks above carry the exact
+       table contents across a restore. *)
     (* Wrapping a policy that carries its own restorable state would
        need composed hooks; no roster policy does, so the wrapper only
        claims safety when the inner policy is stateless. *)
@@ -437,9 +432,7 @@ let tiered ?(fuel = 4096) ?breaker_threshold ?breaker_cooldown tiers =
     stats.last <- -1;
     attempt 0
   in
-  (* Breakers and tier stats are shared mutable state, and [stats.last]
-     is sampled right after each call — serial only.  Checkpointing is
-     fine: the engine snapshot carries breaker and tier-stat state. *)
-  ( { name; concurrent_safe = false; checkpoint_safe = true; state = None;
-      route },
-    stats )
+  (* Breakers and tier stats are mutable state, and [stats.last] is
+     sampled right after each call.  Checkpointing is fine: the engine
+     snapshot carries breaker and tier-stat state. *)
+  ({ name; checkpoint_safe = true; state = None; route }, stats)

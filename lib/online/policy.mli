@@ -41,19 +41,6 @@ type state_hooks = {
 
 type t = {
   name : string;
-  concurrent_safe : bool;
-      (** Whether [route] is safe to call from several domains at once
-          (against {e distinct} capacity states, e.g.
-          {!Qnet_core.Capacity.overlay} views) and is a deterministic
-          function of its arguments alone.  True for the stateless
-          built-ins and the flow policy (its rounding seed is a pure
-          function of the user group); false for anything holding
-          shared mutable state between calls ({!cached}'s memo table,
-          {!tiered}'s breakers, the hierarchical oracle's segment
-          cache).  The batched engine only speculates concurrently on
-          policies that declare this; others keep the serial path
-          (results are byte-identical either way — this flag only
-          gates the optimisation). *)
   checkpoint_safe : bool;
       (** Whether a run under this policy can be checkpointed and
           restored byte-identically.  True for the stateless built-ins,

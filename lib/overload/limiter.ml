@@ -26,8 +26,6 @@ let try_take t ~now =
   end
   else false
 
-let copy t = { t with tokens = t.tokens }
-
 let tokens t = t.tokens
 let rate t = t.rate
 let burst t = t.burst

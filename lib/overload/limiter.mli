@@ -19,12 +19,6 @@ val try_take : t -> now:float -> bool
     token if at least one is available.  [false] means the caller is
     over rate and should shed. *)
 
-val copy : t -> t
-(** An independent limiter with the same configuration and current
-    bucket state.  The batched serving engine dry-runs a copy over a
-    drained event batch to predict which arrivals the live limiter will
-    shed, without consuming the real tokens. *)
-
 val tokens : t -> float
 (** Tokens currently available (after the last refill). *)
 

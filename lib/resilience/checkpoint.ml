@@ -452,17 +452,6 @@ let save ~path ~config snap =
   | Unix.Unix_error (e, _, _) ->
       err "cannot write checkpoint %s: %s" path (Unix.error_message e)
 
-let read_file path =
-  try
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let data = really_input_string ic n in
-    close_in ic;
-    Ok data
-  with
-  | Sys_error m -> err "cannot read checkpoint: %s" m
-  | End_of_file -> err "cannot read checkpoint %s" path
-
 (* Split off the trailing "integrity <hex> <len>\n" footer and verify
    it against the preceding bytes; returns the body and its digest. *)
 let verified_body path data =
@@ -497,7 +486,10 @@ let verified_body path data =
 
 (* The verified file: config fingerprint, snapshot and footer digest. *)
 let read_digest ~path =
-  let* data = read_file path in
+  let* data =
+    Result.map_error (fun m -> "cannot read checkpoint: " ^ m)
+      (Qnet_util.Io.read_file path)
+  in
   (* Identify the file before integrity-checking it: a random file that
      merely lacks a footer should be called what it is, not "torn". *)
   let* () =

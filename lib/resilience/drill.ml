@@ -27,10 +27,9 @@ type t = {
 let passed d = d.mismatches = []
 
 let read_bytes path =
-  let ic = open_in_bin path in
-  let data = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  data
+  match Qnet_util.Io.read_file path with
+  | Ok data -> data
+  | Error m -> failwith ("Drill: " ^ m)
 
 let write_bytes path data =
   let oc = open_out_bin path in
@@ -54,7 +53,7 @@ let inject data = function
       Bytes.to_string b
   | Bit_flip _ -> data
 
-let crash_restore ?config ?faults ?fault_schedule ?reconfig ?pool ?slot
+let crash_restore ?config ?faults ?fault_schedule ?reconfig ?pool
     ?inject:injection ~every g params ~requests =
   let dir = Filename.temp_dir "muerp-drill" "" in
   let path = Filename.concat dir "drill.ckpt" in
@@ -83,7 +82,7 @@ let crash_restore ?config ?faults ?fault_schedule ?reconfig ?pool ?slot
         | Error m -> errors := (!cuts, "cut failed: " ^ m) :: !errors
       in
       let run ?on_transition ?checkpoint ?restore_from () =
-        Engine.run ?config ?faults ?fault_schedule ?reconfig ?pool ?slot
+        Engine.run ?config ?faults ?fault_schedule ?reconfig ?pool
           ?on_transition ?checkpoint ?restore_from g params ~requests
       in
       let base_report, base_outcomes =

@@ -44,7 +44,6 @@ val crash_restore :
   ?fault_schedule:Qnet_faults.Schedule.event list ->
   ?reconfig:Qnet_online.Reconfig.event list ->
   ?pool:Qnet_util.Pool.t ->
-  ?slot:float ->
   ?inject:injection ->
   every:float ->
   Qnet_graph.Graph.t ->
@@ -55,8 +54,7 @@ val crash_restore :
     passed to both the uninterrupted run and every restored
     continuation, so the drill exercises exactly the configuration the
     caller will run in production — including faults, live
-    reconfiguration, overload control and the concurrent serving
-    path. *)
+    reconfiguration and overload control. *)
 
 val pp : Format.formatter -> t -> unit
 (** One-line pass summary, or the list of diverging crash points. *)

@@ -322,15 +322,8 @@ let decode_records path data pos =
 let read ~path =
   let ( let* ) = Result.bind in
   let* data =
-    try
-      let ic = open_in_bin path in
-      let n = in_channel_length ic in
-      let data = really_input_string ic n in
-      close_in ic;
-      Ok data
-    with
-    | Sys_error m -> Error (Printf.sprintf "cannot read journal: %s" m)
-    | End_of_file -> Error (Printf.sprintf "cannot read journal %s" path)
+    Result.map_error (fun m -> "cannot read journal: " ^ m)
+      (Qnet_util.Io.read_file path)
   in
   let* config_line, chain_line, body_pos = split_header path data in
   let* j_config, j_head, j_index = parse_header path config_line chain_line in

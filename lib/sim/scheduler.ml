@@ -86,23 +86,6 @@ module Lease = struct
       (remainder, dead_paths)
     end
 
-  (* Atomic admission for trees routed against a snapshot: re-validate
-     the tree's aggregate demand against the (possibly newer) capacity
-     state, consume it, and record the lease — or leave the state
-     untouched.  The commit half of the batched engine's
-     snapshot/solve/commit protocol. *)
-  let commit capacity (tree : Ent_tree.t) =
-    let t = acquire tree in
-    if
-      List.for_all
-        (fun (v, q) -> Capacity.remaining capacity v >= q)
-        t.usage
-    then begin
-      List.iter (Capacity.consume_channel capacity) t.paths;
-      Some t
-    end
-    else None
-
   let release capacity t =
     if t.released then invalid_arg "Scheduler.Lease.release: already released";
     (* Invariant: a refund may never push a switch above its budget,

@@ -48,16 +48,6 @@ module Lease : sig
   val qubits : t -> int
   (** Total switch qubits the lease pins. *)
 
-  val commit : Qnet_core.Capacity.t -> Qnet_core.Ent_tree.t -> t option
-  (** [commit capacity tree] atomically admits a tree that was routed
-      against a {e snapshot} of the capacity state: if every switch can
-      still afford the tree's aggregate qubit demand, consume it and
-      return the lease; otherwise consume nothing and return [None].
-      This is the commit half of the batched engine's
-      snapshot/solve/commit protocol — speculative solvers work on
-      {!Qnet_core.Capacity.overlay} views, and their winning trees are
-      re-validated here against the live state. *)
-
   val release : Qnet_core.Capacity.t -> t -> unit
   (** Refund every channel of the lease into the residual state.
       Asserts the capacity invariant: each touched switch must still

@@ -214,12 +214,6 @@ let parallel_map pool ?chunk n f =
     Array.map (function Some v -> v | None -> assert false) out
   end
 
-(* Batch-of-thunks entry point for heterogeneous task sets (the serving
-   engine's per-request speculative solves): each thunk owns its inputs,
-   results come back in submission order. *)
-let map_thunks pool ?chunk thunks =
-  parallel_map pool ?chunk (Array.length thunks) (fun i -> thunks.(i) ())
-
 let split_seeds rng n =
   if n < 0 then invalid_arg "Pool.split_seeds: negative count";
   if n = 0 then [||]

@@ -60,20 +60,12 @@ val parallel_map : t -> ?chunk:int -> int -> (int -> 'a) -> 'a array
     {!parallel_for}.  Result order is always index order, independent
     of scheduling. *)
 
-val map_thunks : t -> ?chunk:int -> (unit -> 'a) array -> 'a array
-(** [map_thunks pool thunks] runs every thunk as one parallel batch and
-    returns their results in submission order.  The batch-of-thunks
-    form of {!parallel_map}, for heterogeneous task sets where each
-    task already owns its inputs (e.g. one speculative routing solve
-    per queued request).  Same determinism contract and nested-region
-    restriction as {!parallel_for}. *)
-
 val in_parallel_region : unit -> bool
 (** Whether the calling domain is currently executing inside a parallel
     region of {e any} pool.  Submitting from inside a region raises
     [Invalid_argument ("Pool: nested parallel region")]; callers that
-    would rather degrade than die — the batched serving engine falls
-    back to its serial path — query this first. *)
+    would rather degrade than die — the serving engine then verifies
+    served trees serially — query this first. *)
 
 val split_seeds : Prng.t -> int -> Prng.t array
 (** [split_seeds rng n] draws [n] independent SplitMix64 generators

@@ -81,18 +81,6 @@ SECTIONS = {
             "rounding_verified",
         ],
     ),
-    # Sharded serving engine: the served count is a pure function of the
-    # fixed seeds and must match at every (batch size, jobs) level —
-    # wall_s / served_per_s / speedup are wall-clock and excluded.
-    "serving": (
-        "config",
-        [
-            "batch",
-            "jobs",
-            "served",
-            "report_equal",
-        ],
-    ),
 }
 
 GAP_FIELDS = ["gap_alg2", "gap_alg3", "gap_alg4", "gap_eqcast", "gap_flow"]
@@ -114,7 +102,7 @@ RESILIENCE_FIELDS = [
     "reconfig_acceptance_ratio",
 ]
 
-EXPECTED_SCHEMA = "muerp-bench-snapshot/11"
+EXPECTED_SCHEMA = "muerp-bench-snapshot/12"
 
 
 def check_flow_invariants(fresh):
@@ -139,30 +127,6 @@ def check_flow_invariants(fresh):
                 f"flow[{topo}].rounding_verified = "
                 f"{row.get('rounding_verified')!r}: rounded tree failed "
                 "independent verification"
-            )
-    return problems
-
-
-def check_serving_invariants(fresh):
-    """Soundness checks on the fresh serving section, independent of the
-    committed baseline: throughput must be positive at every jobs level,
-    and every batched run's SLA report must be byte-identical to the
-    serial jobs=1 baseline (the determinism contract of the sharded
-    serving engine)."""
-    problems = []
-    for row in fresh.get("serving", {}).get("runs", []):
-        config = row.get("config")
-        per_s = row.get("served_per_s")
-        if per_s is None or float(per_s) <= 0.0:
-            problems.append(
-                f"serving[{config}].served_per_s = {per_s!r}: "
-                "expected a positive throughput"
-            )
-        if row.get("report_equal") is not True:
-            problems.append(
-                f"serving[{config}].report_equal = "
-                f"{row.get('report_equal')!r}: batched report diverged "
-                "from the serial baseline"
             )
     return problems
 
@@ -277,14 +241,6 @@ def compare_resilience(committed, fresh):
     return diffs
 
 
-def section_rows(doc, section):
-    """Serving rows live under serving.runs; every other section is a
-    top-level list."""
-    if section == "serving":
-        return doc.get("serving", {}).get("runs", [])
-    return doc.get(section, [])
-
-
 def values_match(a, b):
     if isinstance(a, float) or isinstance(b, float):
         a, b = float(a), float(b)
@@ -309,12 +265,11 @@ def main():
     if schema != EXPECTED_SCHEMA:
         diffs.append(f"schema: expected {EXPECTED_SCHEMA!r}, got {schema!r}")
     diffs.extend(check_flow_invariants(fresh))
-    diffs.extend(check_serving_invariants(fresh))
     diffs.extend(check_resilience_invariants(fresh))
     diffs.extend(compare_resilience(committed, fresh))
     for section, (key, fields) in SECTIONS.items():
-        old_rows = index_rows(section_rows(committed, section), key)
-        new_rows = index_rows(section_rows(fresh, section), key)
+        old_rows = index_rows(committed.get(section, []), key)
+        new_rows = index_rows(fresh.get(section, []), key)
         # Rows present in only one snapshot are allowed: the hier size
         # ladder (and nothing else today) grows with MUERP_REPLICATIONS.
         for row_key in sorted(old_rows.keys() & new_rows.keys()):

@@ -67,75 +67,6 @@ let test_copy_isolation () =
   check_int "original deducted" 2 (Capacity.remaining c s2);
   check_int "copy untouched" 4 (Capacity.remaining c' s2)
 
-(* Copy-on-write overlays: the serving engine's capacity snapshots.
-   Reads fall through to the base, writes stay private, and only dense
-   (base) writes advance the version counter used as the
-   snapshot-validity certificate. *)
-
-let test_overlay_reads_through () =
-  let g, u0, u1, s2, s3 = fixture () in
-  let c = Capacity.of_graph g in
-  Capacity.consume_channel c [ u0; s2; s3; u1 ];
-  let o = Capacity.overlay c in
-  check_int "overlay sees base s2" 2 (Capacity.remaining o s2);
-  check_int "overlay sees base s3" 0 (Capacity.remaining o s3);
-  check_bool "overlay relay matches base" false (Capacity.can_relay o s3)
-
-let test_overlay_writes_isolated () =
-  let g, u0, u1, s2, s3 = fixture () in
-  let c = Capacity.of_graph g in
-  let o = Capacity.overlay c in
-  Capacity.consume_channel o [ u0; s2; s3; u1 ];
-  check_int "overlay deducted" 2 (Capacity.remaining o s2);
-  check_int "base untouched" 4 (Capacity.remaining c s2);
-  check_int "base s3 untouched" 2 (Capacity.remaining c s3)
-
-let test_overlay_version_certificate () =
-  let g, u0, u1, s2, s3 = fixture () in
-  let c = Capacity.of_graph g in
-  let v0 = Capacity.version c in
-  let o = Capacity.overlay c in
-  Capacity.consume_channel o [ u0; s2; s3; u1 ];
-  check_int "overlay writes leave base version" v0 (Capacity.version c);
-  Capacity.consume_channel c [ u0; s2; s3; u1 ];
-  check_bool "dense write bumps version" true (Capacity.version c > v0);
-  Capacity.release_channel c [ u0; s2; s3; u1 ];
-  check_bool "release bumps version too" true
-    (Capacity.version c > v0 + 1)
-
-let test_overlay_copy_materialises () =
-  let g, u0, u1, s2, s3 = fixture () in
-  let c = Capacity.of_graph g in
-  let o = Capacity.overlay c in
-  Capacity.consume_channel o [ u0; s2; s3; u1 ];
-  let d = Capacity.copy o in
-  check_int "copy sees overlay value" 2 (Capacity.remaining d s2);
-  check_int "copy sees overlay s3" 0 (Capacity.remaining d s3);
-  Capacity.release_channel o [ u0; s2; s3; u1 ];
-  check_int "copy detached from overlay" 2 (Capacity.remaining d s2)
-
-let test_overlay_of_overlay_forks () =
-  let g, u0, u1, s2, s3 = fixture () in
-  let c = Capacity.of_graph g in
-  let o1 = Capacity.overlay c in
-  Capacity.consume_channel o1 [ u0; s2; s3; u1 ];
-  let o2 = Capacity.overlay o1 in
-  check_int "fork inherits parent delta" 2 (Capacity.remaining o2 s2);
-  Capacity.release_channel o2 [ u0; s2; s3; u1 ];
-  check_int "parent unaffected by fork writes" 2 (Capacity.remaining o1 s2);
-  check_int "fork refunded" 4 (Capacity.remaining o2 s2);
-  check_int "base untouched throughout" 4 (Capacity.remaining c s2)
-
-let test_overlay_used_and_overcommitted () =
-  let g, u0, u1, s2, s3 = fixture () in
-  let c = Capacity.of_graph g in
-  let o = Capacity.overlay c in
-  Capacity.consume_channel o [ u0; s2; s3; u1 ];
-  check_int "used through overlay" 2 (Capacity.used o s2);
-  check_int "base used unchanged" 0 (Capacity.used c s2);
-  Alcotest.(check (list int))
-    "fully consumed is not overcommitted" [] (Capacity.overcommitted o)
-
 let () =
   Alcotest.run "capacity"
     [
@@ -147,20 +78,5 @@ let () =
           Alcotest.test_case "direct channel" `Quick
             test_direct_channel_consumes_nothing;
           Alcotest.test_case "copy" `Quick test_copy_isolation;
-        ] );
-      ( "overlay",
-        [
-          Alcotest.test_case "reads fall through" `Quick
-            test_overlay_reads_through;
-          Alcotest.test_case "writes isolated" `Quick
-            test_overlay_writes_isolated;
-          Alcotest.test_case "version certificate" `Quick
-            test_overlay_version_certificate;
-          Alcotest.test_case "copy materialises" `Quick
-            test_overlay_copy_materialises;
-          Alcotest.test_case "overlay of overlay" `Quick
-            test_overlay_of_overlay_forks;
-          Alcotest.test_case "used and overcommitted" `Quick
-            test_overlay_used_and_overcommitted;
         ] );
     ]

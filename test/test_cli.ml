@@ -239,6 +239,26 @@ let test_restore_corrupt_body () =
       check_bool "says the body is malformed" true
         (contains out "malformed snapshot body"))
 
+(* Every file-reading surface, handed a directory: exit 2 with the path
+   in the message, never a bare errno string or a backtrace. *)
+let test_directory_argument cmd () =
+  let dir = Filename.temp_dir "cli_dir" "" in
+  Fun.protect
+    ~finally:(fun () -> Sys.rmdir dir)
+    (fun () ->
+      let code, out = run (cmd ^ " " ^ Filename.quote dir) in
+      check_int "exit 2" 2 code;
+      check_bool "names the path" true (contains out dir);
+      check_bool "says it is a directory" true (contains out "is a directory"))
+
+let directory_surfaces =
+  [
+    ("--restore", "traffic -n 5 --restore");
+    ("--reconfig", "traffic -n 5 --reconfig");
+    ("--load", "solve --load");
+    ("inspect", "inspect");
+  ]
+
 let () =
   Alcotest.run "cli"
     [
@@ -263,5 +283,10 @@ let () =
           Alcotest.test_case "inspect other" `Quick test_inspect_other;
           Alcotest.test_case "restore corrupt body" `Quick
             test_restore_corrupt_body;
-        ] );
+        ]
+        @ List.map
+            (fun (name, cmd) ->
+              Alcotest.test_case ("directory " ^ name) `Quick
+                (test_directory_argument cmd))
+            directory_surfaces );
     ]

@@ -82,88 +82,6 @@ let test_event_queue_order () =
     (Invalid_argument "Event_queue.push: NaN timestamp") (fun () ->
       Event_queue.push q Float.nan "x")
 
-let test_event_queue_batches () =
-  let q = Event_queue.create () in
-  List.iter
-    (fun (t, v) -> Event_queue.push q t v)
-    [ (0., "a"); (0., "b"); (2., "c"); (2.5, "d"); (5., "e") ];
-  let vals batch = List.map (fun (_, _, v) -> v) batch in
-  (* pop_batch drains exactly the earliest instant, FIFO within it. *)
-  let batch = Event_queue.pop_batch q in
-  Alcotest.(check (list string)) "first instant" [ "a"; "b" ] (vals batch);
-  List.iter (fun (t, _, _) -> check_bool "stamped at 0" true (t = 0.)) batch;
-  (* drain_until takes the slot window inclusively. *)
-  let batch = Event_queue.drain_until q ~upto:2.5 in
-  Alcotest.(check (list string)) "slot window" [ "c"; "d" ] (vals batch);
-  (* Push order survives in the seq keys — the commit total order. *)
-  let seqs = List.map (fun (_, s, _) -> s) batch in
-  check_bool "seq strictly ascending" true
-    (List.sort_uniq compare seqs = seqs);
-  Alcotest.(check (list string))
-    "tail" [ "e" ]
-    (vals (Event_queue.pop_batch q));
-  Alcotest.(check (list string)) "empty pop_batch" [] (vals (Event_queue.pop_batch q));
-  Alcotest.(check (list string))
-    "empty drain" []
-    (vals (Event_queue.drain_until q ~upto:100.));
-  Alcotest.check_raises "nan bound rejected"
-    (Invalid_argument "Event_queue.drain_until: NaN bound") (fun () ->
-      ignore (Event_queue.drain_until q ~upto:Float.nan))
-
-let test_batch_drain_matches_pop_qcheck () =
-  (* Draining batch-wise — whole instants or random slot windows — must
-     visit events in exactly the (time, push order) sequence that
-     repeated pop does. *)
-  let prop seed =
-    let rng = Prng.create seed in
-    let n = 1 + Prng.int rng 60 in
-    let stamps =
-      List.init n (fun i -> (float_of_int (Prng.int rng 8) /. 2., i))
-    in
-    let fill () =
-      let q = Event_queue.create () in
-      List.iter (fun (t, i) -> Event_queue.push q t i) stamps;
-      q
-    in
-    let by_pop =
-      let q = fill () in
-      let rec go acc =
-        match Event_queue.pop q with
-        | None -> List.rev acc
-        | Some (t, v) -> go ((t, v) :: acc)
-      in
-      go []
-    in
-    let by_batch =
-      let q = fill () in
-      let rec go acc =
-        match Event_queue.pop_batch q with
-        | [] -> List.concat (List.rev acc)
-        | b -> go (List.map (fun (t, _, v) -> (t, v)) b :: acc)
-      in
-      go []
-    in
-    let by_slot =
-      let q = fill () in
-      let slot = float_of_int (Prng.int rng 3) in
-      let rec go acc =
-        match Event_queue.peek_time q with
-        | None -> List.concat (List.rev acc)
-        | Some t0 ->
-            let b = Event_queue.drain_until q ~upto:(t0 +. slot) in
-            go (List.map (fun (t, _, v) -> (t, v)) b :: acc)
-      in
-      go []
-    in
-    by_pop = by_batch && by_pop = by_slot
-  in
-  let test =
-    QCheck.Test.make ~count:200 ~name:"batch drain equals pop order"
-      QCheck.(int_range 1 10_000)
-      prop
-  in
-  QCheck.Test.check_exn test
-
 (* ------------------------------------------------------------------ *)
 (* Workload                                                            *)
 
@@ -672,13 +590,11 @@ let test_fault_replay_qcheck () =
   QCheck.Test.check_exn test
 
 (* ------------------------------------------------------------------ *)
-(* Batched serving equivalence: pool-backed speculative solves with
-   deterministic commit must leave no observable trace — report,
-   resolution stream, and the engine/overload counters all equal to
-   the serial run, at every jobs level and slot window, under faults
-   and overload too.  (Solver-internal telemetry like online.route
-   span counts is explicitly OUTSIDE the contract: discarded
-   speculation adds calls there by design.) *)
+(* Pool equivalence: serving is serial and the pool only parallelises
+   the read-only verification pass, so a pool must leave no observable
+   trace — report, resolution stream, and the engine/overload counters
+   all equal to the pool-free run, at every jobs level, under batched
+   arrivals, faults and overload too. *)
 
 let run_with_engine_counters f =
   let module Tm = Qnet_telemetry.Metrics in
@@ -715,14 +631,12 @@ let test_batched_matches_serial_qcheck () =
     in
     let reqs = Workload.generate (Prng.create seed) g spec in
     (* Fresh policy per run: the cached adapter's memo table must not
-       leak between the serial baseline and the batched replays. *)
+       leak between the pool-free baseline and the pooled replays. *)
     let make_policy () =
       match seed mod 4 with
       | 0 -> Policy.prim
       | 1 -> Option.get (Policy.of_name "alg3")
       | 2 -> Option.get (Policy.of_name "eqcast")
-      (* concurrent_safe = false: the engine must fall back to the
-         serial path and still agree. *)
       | _ -> Policy.cached Policy.prim
     in
     let overload =
@@ -747,43 +661,36 @@ let test_batched_matches_serial_qcheck () =
                }))
       else None
     in
-    let run ?pool ?slot () =
+    let run ?pool () =
       let config = Engine.config ~retry_base:0.5 ~overload (make_policy ()) in
       run_with_engine_counters (fun () ->
-          Engine.run ~config ?fault_schedule ?pool ?slot g params
-            ~requests:reqs)
+          Engine.run ~config ?fault_schedule ?pool g params ~requests:reqs)
     in
     let (base_report, base_outcomes), base_counters = run () in
     List.iter
       (fun jobs ->
         Qnet_util.Pool.with_pool ~jobs (fun pool ->
-            List.iter
-              (fun slot ->
-                let (report, outcomes), counters = run ~pool ~slot () in
-                if report <> base_report then
-                  Alcotest.failf "report diverged at jobs=%d slot=%g" jobs
-                    slot;
-                if outcomes <> base_outcomes then
-                  Alcotest.failf "outcomes diverged at jobs=%d slot=%g" jobs
-                    slot;
-                if counters <> base_counters then
-                  Alcotest.failf
-                    "engine counters diverged at jobs=%d slot=%g" jobs slot)
-              [ 0.; 2. ]))
+            let (report, outcomes), counters = run ~pool () in
+            if report <> base_report then
+              Alcotest.failf "report diverged at jobs=%d" jobs;
+            if outcomes <> base_outcomes then
+              Alcotest.failf "outcomes diverged at jobs=%d" jobs;
+            if counters <> base_counters then
+              Alcotest.failf "engine counters diverged at jobs=%d" jobs))
       [ 1; 2; 4 ];
     true
   in
   let test =
     QCheck.Test.make ~count:30
-      ~name:"batched serving equals serial (reports, outcomes, counters)"
+      ~name:"pooled serving equals serial (reports, outcomes, counters)"
       QCheck.(int_range 1 10_000)
       prop
   in
   QCheck.Test.check_exn test
 
 (* The engine must also survive being handed a pool while already
-   inside a parallel region (nested speculation is downgraded to the
-   serial path, not an exception). *)
+   inside a parallel region (the verification pass runs serially
+   instead of raising). *)
 let test_engine_inside_parallel_region () =
   let g, (a0, a1), (b0, b1) = hub_network () in
   let reqs =
@@ -803,15 +710,177 @@ let test_engine_inside_parallel_region () =
           check_bool "nested run equals serial" true (fst got = fst base)
       | None -> Alcotest.fail "nested run never happened")
 
+(* ------------------------------------------------------------------ *)
+(* Pinned reports                                                      *)
+
+(* A fixed matrix of engine runs, each pinned to its served count and
+   an MD5 of its report table plus a full rendering of its outcomes
+   (floats in hex, trees as vertex paths).  The digests are constants:
+   any change to event order, admission, recovery or restore shows up
+   here as a mismatch. *)
+
+let render_outcomes outcomes =
+  let b = Buffer.create 4096 in
+  let paths (tree : Ent_tree.t) =
+    String.concat ";"
+      (List.map
+         (fun (c : Channel.t) ->
+           String.concat "," (List.map string_of_int c.Channel.path))
+         tree.Ent_tree.channels)
+  in
+  List.iter
+    (fun (o : Engine.outcome) ->
+      Buffer.add_string b (string_of_int o.Engine.request.Workload.id);
+      Buffer.add_char b ' ';
+      Buffer.add_string b
+        (match o.Engine.resolution with
+        | Engine.Served { start; finish; tree; rate; attempts; recoveries; tier }
+          ->
+            Printf.sprintf "served %h %h %h %d %d %d %s" start finish rate
+              attempts recoveries tier (paths tree)
+        | Engine.Rejected { at; queue_full } ->
+            Printf.sprintf "rejected %h %b" at queue_full
+        | Engine.Shed { at; reason } ->
+            Printf.sprintf "shed %h %s" at
+              (match reason with
+              | Engine.Rate_limit -> "rate"
+              | Engine.Queue_pressure -> "queue")
+        | Engine.Expired { at; attempts } ->
+            Printf.sprintf "expired %h %d" at attempts
+        | Engine.Interrupted { start; at; attempts; recoveries } ->
+            Printf.sprintf "interrupted %h %h %d %d" start at attempts
+              recoveries);
+      Buffer.add_char b '\n')
+    outcomes;
+  Buffer.contents b
+
+let run_digest (report, outcomes) =
+  Digest.to_hex
+    (Digest.string
+       (Qnet_util.Table.to_string (Engine.report_table report)
+       ^ render_outcomes outcomes))
+
+(* The bench's former serving scenario: the default Waxman network
+   (seed 42), synchronised batches of [size] requests every 1.5 s. *)
+let serving_run size =
+  let g = Qnet_topology.Waxman.generate (Prng.create 42) Qnet_topology.Spec.default in
+  let spec =
+    Workload.spec ~requests:240
+      ~arrivals:(Workload.Batched { period = 1.5; size })
+      ()
+  in
+  let reqs = Workload.generate (Prng.create 8_233) g spec in
+  Engine.run ~config:(Engine.config Policy.prim) g params ~requests:reqs
+
+let pinned_network () = network ~users:8 ~switches:30 ~qubits:4 17
+
+let pinned_requests ?(arrivals = Workload.Poisson 3.) g =
+  Workload.generate (Prng.create 91) g
+    (Workload.spec ~requests:80 ~arrivals ~patience:(0., 6.) ())
+
+let faulty_run ?checkpoint ?restore_from recovery =
+  let g = pinned_network () in
+  let faults =
+    Qnet_faults.Model.make ~mtbf:60. ~mttr:4.
+      ~targets:Qnet_faults.Model.Both ~seed:5 ()
+  in
+  let config = Engine.config ~recovery Policy.prim in
+  Engine.run ~config ~faults ?checkpoint ?restore_from g params
+    ~requests:(pinned_requests g)
+
+let tiered_run () =
+  let g = pinned_network () in
+  let policy, tier_stats =
+    Policy.tiered ~fuel:100 ~breaker_threshold:2
+      [ Option.get (Policy.of_name "alg3"); Policy.prim ]
+  in
+  let overload =
+    Qnet_overload.Admission.make ~max_queue:5 ~max_inflight:7 ~rate:6.
+      ~burst:3. ()
+  in
+  let config = Engine.config ~overload ~tier_stats policy in
+  Engine.run ~config g params
+    ~requests:
+      (pinned_requests
+         ~arrivals:(Workload.Pareto { alpha = 1.3; lo = 0.05; hi = 3. })
+         g)
+
+let reconfig_run () =
+  let g = pinned_network () in
+  let sw = Array.of_list (Graph.switches g) in
+  let at time change = { Qnet_online.Reconfig.time; change } in
+  let reconfig =
+    Qnet_online.Reconfig.
+      [
+        at 4. (Switch_leave sw.(0));
+        at 6. (Link_remove 3);
+        at 9. (Provision { switch = sw.(1); qubits = 2 });
+        at 14. (Switch_join sw.(0));
+        at 15. (Link_add 3);
+        at 22. (Provision { switch = sw.(1); qubits = 6 });
+      ]
+  in
+  let config = Engine.config ~recovery:Engine.Reroute Policy.prim in
+  Engine.run ~config ~reconfig g params ~requests:(pinned_requests g)
+
+let hier_run () =
+  let g = pinned_network () in
+  let part = Qnet_hier.Partition.kmeans ~regions:3 ~seed:7 g in
+  let policy = Qnet_hier.Serve.policy (Qnet_hier.Oracle.create g params part) in
+  Engine.run ~config:(Engine.config policy) g params
+    ~requests:(pinned_requests g)
+
+let cached_run () =
+  let g = pinned_network () in
+  Engine.run
+    ~config:(Engine.config (Option.get (Policy.of_name "cached-prim")))
+    g params ~requests:(pinned_requests g)
+
+(* The Repair run, restored from its third cut. *)
+let restored_run () =
+  let cuts = ref [] in
+  let _ =
+    faulty_run ~checkpoint:(5., fun _ snap -> cuts := snap :: !cuts)
+      Engine.Repair
+  in
+  let snap = List.nth (List.rev !cuts) 2 in
+  faulty_run ~restore_from:snap Engine.Repair
+
+(* The restore row carries the Repair row's digest: the continuation
+   from a mid-run cut reproduces the uninterrupted run. *)
+let pinned_matrix =
+  [
+    ("batch:4:1.5", (fun () -> serving_run 4), 212,
+     "cf1749132023bf6a33a6ebc5b18ce7c0");
+    ("batch:8:1.5", (fun () -> serving_run 8), 156,
+     "55a5fa25a06b3c46f266cdf881d4fcae");
+    ("faults repair", (fun () -> faulty_run Engine.Repair), 48,
+     "95e9ee0d99557eccf3ea13e688bc712f");
+    ("faults reroute", (fun () -> faulty_run Engine.Reroute), 48,
+     "e4777a3f02dd5fc5bea0a41341d4d538");
+    ("tiered alg3>prim + limits", tiered_run, 23,
+     "08495f7e38f460049326735a7ae8a398");
+    ("reconfig", reconfig_run, 62, "bf6465e1d6195e03ce7d71517c6a18b3");
+    ("hier", hier_run, 62, "84046f262fae8b4c509a9e03d8c8e616");
+    ("cached-prim", cached_run, 63, "bf2f9561a37040a544eec065ea712344");
+    ("restore mid-run", restored_run, 48,
+     "95e9ee0d99557eccf3ea13e688bc712f");
+  ]
+
+let test_pinned_reports () =
+  List.iter
+    (fun (name, run, served, digest) ->
+      let ((report, _) as result) = run () in
+      check_int (name ^ " served") served report.Engine.served;
+      Alcotest.(check string) (name ^ " digest") digest (run_digest result))
+    pinned_matrix
+
 let () =
   Alcotest.run "online"
     [
       ( "event_queue",
         [
           Alcotest.test_case "ordering" `Quick test_event_queue_order;
-          Alcotest.test_case "batches" `Quick test_event_queue_batches;
-          Alcotest.test_case "batch drain order (qcheck)" `Quick
-            test_batch_drain_matches_pop_qcheck;
         ] );
       ( "workload",
         [
@@ -830,6 +899,7 @@ let () =
           Alcotest.test_case "validation" `Quick test_engine_validation;
           Alcotest.test_case "retry at deadline expires" `Quick
             test_retry_at_deadline_expires;
+          Alcotest.test_case "pinned reports" `Quick test_pinned_reports;
         ] );
       ( "policy",
         [

@@ -97,19 +97,6 @@ let test_in_parallel_region () =
       check_bool "flagged on serial fast path" true !inside);
   check_bool "cleared after region" false (Pool.in_parallel_region ())
 
-let test_map_thunks () =
-  let expected = Array.init 33 (fun i -> (i * 3) + 1) in
-  List.iter
-    (fun jobs ->
-      Pool.with_pool ~jobs (fun p ->
-          let thunks = Array.init 33 (fun i () -> (i * 3) + 1) in
-          check_bool
-            (Printf.sprintf "thunk results in order at jobs=%d" jobs)
-            true
-            (Pool.map_thunks p thunks = expected);
-          check_int "empty thunks" 0 (Array.length (Pool.map_thunks p [||]))))
-    [ 1; 3 ]
-
 let test_split_seeds_deterministic () =
   let seeds1 = Pool.split_seeds (Prng.create 42) 8 in
   let seeds2 = Pool.split_seeds (Prng.create 42) 8 in
@@ -162,7 +149,6 @@ let () =
             test_use_after_shutdown;
           Alcotest.test_case "in_parallel_region" `Quick
             test_in_parallel_region;
-          Alcotest.test_case "map_thunks" `Quick test_map_thunks;
           Alcotest.test_case "split_seeds deterministic" `Quick
             test_split_seeds_deterministic;
           Alcotest.test_case "randomized work independent of jobs" `Quick

@@ -111,6 +111,36 @@ let prop_alg2_optimal_under_condition =
                      >= Ent_tree.rate_neg_log t2 -. 1e-9)
                solvers)
 
+(* Theorem 3, as a property: under the sufficient capacity condition
+   [Q_r >= 2|U|], Algorithm 2 is optimal — on tiny instances it reaches
+   the exhaustive optimum's rate, and the two agree on feasibility.
+   The exact solver may use every simple path (hop bound = |V| - 1),
+   so a long optimal channel is never ruled out. *)
+let tiny_arb =
+  QCheck.make ~print:net_print
+    QCheck.Gen.(
+      let* seed = int_range 1 10_000 in
+      let* users = int_range 2 4 in
+      let* switches = int_range 2 8 in
+      let* gen = int_range 0 2 in
+      return { seed; users; switches; qubits = 2 * users; gen })
+
+let prop_theorem3_alg2_exact =
+  QCheck.Test.make ~name:"theorem 3: alg2 = exact optimum" ~count:150
+    tiny_arb (fun c ->
+      let g = build c in
+      let bounds =
+        { Exact.default_bounds with max_path_hops = Graph.vertex_count g - 1 }
+      in
+      Alg_optimal.sufficient_condition g
+      &&
+      match (Alg_optimal.solve g params, Exact.solve ~bounds g params) with
+      | Some t2, Some te ->
+          Float.abs (Ent_tree.rate_neg_log t2 -. Ent_tree.rate_neg_log te)
+          <= 1e-9
+      | None, None -> true
+      | Some _, None | None, Some _ -> false)
+
 (* 5. Algorithm 1's channel between a fixed pair never improves when
    capacity shrinks (monotonicity). *)
 let prop_routing_monotone_in_capacity =
@@ -435,6 +465,7 @@ let () =
             prop_rates_in_unit_interval;
             prop_tree_size;
             prop_alg2_optimal_under_condition;
+            prop_theorem3_alg2_exact;
             prop_routing_monotone_in_capacity;
             prop_qubit_usage_consistent;
             prop_channels_roundtrip;

@@ -550,11 +550,11 @@ let test_flash_compresses_arrivals () =
 (* ------------------------------------------------------------------ *)
 (* Crash-recovery drills                                               *)
 
-let drill_must_pass ?faults ?reconfig ?pool ?slot ~every g reqs =
+let drill_must_pass ?faults ?reconfig ?pool ~every g reqs =
   let overload = Qnet_overload.Admission.make ~max_queue:16 ~rate:1.5 () in
   let config = Engine.config ~overload Policy.prim in
   let d =
-    Drill.crash_restore ~config ?faults ?reconfig ?pool ?slot ~every g params
+    Drill.crash_restore ~config ?faults ?reconfig ?pool ~every g params
       ~requests:reqs
   in
   if not (Drill.passed d) then
@@ -588,11 +588,9 @@ let test_drill_under_faults_and_reconfig () =
   drill_must_pass ~faults ~reconfig ~every:8. g (generated 30 g)
 
 let prop_restore_any_instant =
-  QCheck.Test.make ~count:6 ~name:"restore at any instant, any jobs/slot"
-    QCheck.(
-      triple (QCheck.int_range 0 10_000) (QCheck.oneofl [ 1; 2; 4 ])
-        (QCheck.oneofl [ 0.; 2.5 ]))
-    (fun (seed, jobs, slot) ->
+  QCheck.Test.make ~count:6 ~name:"restore at any instant, any jobs"
+    QCheck.(pair (int_range 0 10_000) (oneofl [ 1; 2; 4 ]))
+    (fun (seed, jobs) ->
       let g = network (seed mod 97) in
       let reqs = generated (seed + 1) g in
       let faults =
@@ -602,7 +600,7 @@ let prop_restore_any_instant =
         let overload = Qnet_overload.Admission.make ~max_queue:12 ~rate:1. () in
         let config = Engine.config ~overload Policy.prim in
         let d =
-          Drill.crash_restore ~config ~faults ?pool ~slot ~every:13. g params
+          Drill.crash_restore ~config ~faults ?pool ~every:13. g params
             ~requests:reqs
         in
         Drill.passed d
@@ -715,7 +713,7 @@ let with_tmp_dir f =
       try Sys.rmdir dir with Sys_error _ -> ())
     (fun () -> f dir)
 
-let file_drill_must_pass ?inject ?pool ?slot seed =
+let file_drill_must_pass ?inject ?pool seed =
   let g = network seed in
   let reqs = generated (seed + 1) g in
   let faults =
@@ -724,7 +722,7 @@ let file_drill_must_pass ?inject ?pool ?slot seed =
   let overload = Qnet_overload.Admission.make ~max_queue:14 ~rate:1.2 () in
   let config = Engine.config ~overload Policy.prim in
   let d =
-    Drill.crash_restore ~config ~faults ?inject ?pool ?slot ~every:8. g params
+    Drill.crash_restore ~config ~faults ?inject ?pool ~every:8. g params
       ~requests:reqs
   in
   if not (Drill.passed d) then Alcotest.fail (Format.asprintf "%a" Drill.pp d);
@@ -756,12 +754,11 @@ let test_chain_drill_bit_flip () =
     [ 3; 1009; 65537 ]
 
 let prop_files_restore_any_cut =
-  QCheck.Test.make ~count:4 ~name:"chain restore at any cut, any jobs/slot"
-    QCheck.(
-      triple (int_range 0 10_000) (oneofl [ 1; 2; 4 ]) (oneofl [ 0.; 2.5 ]))
-    (fun (seed, jobs, slot) ->
+  QCheck.Test.make ~count:4 ~name:"chain restore at any cut, any jobs level"
+    QCheck.(pair (int_range 0 10_000) (oneofl [ 1; 2; 4 ]))
+    (fun (seed, jobs) ->
       let run pool =
-        ignore (file_drill_must_pass ?pool ~slot (seed mod 89));
+        ignore (file_drill_must_pass ?pool (seed mod 89));
         true
       in
       if jobs = 1 then run None

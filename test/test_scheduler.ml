@@ -228,52 +228,6 @@ let test_lease_invariant_violation () =
         recorded consumption)") (fun () ->
       Scheduler.Lease.release capacity lease)
 
-let test_lease_commit () =
-  (* The batched engine's commit half: two speculative solves against
-     independent snapshots of the same state both believe the one
-     2-qubit hub has room; only the first commit admits, the second
-     refuses atomically. *)
-  let b = Graph.Builder.create () in
-  let user x y = Graph.Builder.add_vertex b ~kind:Graph.User ~qubits:0 ~x ~y in
-  let a0 = user 0. 0. in
-  let a1 = user 2000. 0. in
-  let b0 = user 0. 1000. in
-  let b1 = user 2000. 1000. in
-  let hub =
-    Graph.Builder.add_vertex b ~kind:Graph.Switch ~qubits:2 ~x:1000. ~y:500.
-  in
-  List.iter
-    (fun u -> ignore (Graph.Builder.add_edge b u hub 1200.))
-    [ a0; a1; b0; b1 ];
-  let g = Graph.Builder.freeze b in
-  let capacity = Capacity.of_graph g in
-  let route users snapshot =
-    match Multi_group.prim_for_users g params ~capacity:snapshot ~users with
-    | Some t -> t
-    | None -> Alcotest.fail "pair must route on a fresh snapshot"
-  in
-  let t_a = route [ a0; a1 ] (Capacity.overlay capacity) in
-  let t_b = route [ b0; b1 ] (Capacity.overlay capacity) in
-  check_int "snapshot routing left live state alone" 0
-    (Capacity.used capacity hub);
-  let lease_a =
-    match Scheduler.Lease.commit capacity t_a with
-    | Some l -> l
-    | None -> Alcotest.fail "first commit must admit"
-  in
-  check_int "winner's qubits consumed" 2 (Capacity.used capacity hub);
-  (* The conflicting commit must consume nothing. *)
-  (match Scheduler.Lease.commit capacity t_b with
-  | None -> ()
-  | Some _ -> Alcotest.fail "conflicting commit must refuse");
-  check_int "hub untouched by the refusal" 2 (Capacity.used capacity hub);
-  (* Once the winner releases, the loser's tree commits cleanly. *)
-  Scheduler.Lease.release capacity lease_a;
-  (match Scheduler.Lease.commit capacity t_b with
-  | Some l -> Scheduler.Lease.release capacity l
-  | None -> Alcotest.fail "commit must admit after release");
-  check_int "books balanced" 0 (Capacity.used capacity hub)
-
 (* Route a 3-user group so the lease spans at least two channels —
    partial release needs something to keep. *)
 let multi_channel_lease seed =
@@ -417,7 +371,6 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_lease_roundtrip;
           Alcotest.test_case "invariant violation" `Quick
             test_lease_invariant_violation;
-          Alcotest.test_case "snapshot commit" `Quick test_lease_commit;
           Alcotest.test_case "partial release" `Quick
             test_release_where_partial;
           Alcotest.test_case "all channels dead" `Quick
