@@ -30,6 +30,24 @@ let run args =
   in
   (code, content)
 
+(* Like [run], but stdout alone: stderr goes to the null device. *)
+let run_stdout args =
+  let out = Filename.temp_file "muerp_cli" ".out" in
+  let cmd =
+    Printf.sprintf "%s %s > %s 2> %s" (Filename.quote binary) args
+      (Filename.quote out) (Filename.quote Filename.null)
+  in
+  let code = Sys.command cmd in
+  let ic = open_in_bin out in
+  let content =
+    Fun.protect
+      ~finally:(fun () ->
+        close_in ic;
+        Sys.remove out)
+      (fun () -> really_input_string ic (in_channel_length ic))
+  in
+  (code, content)
+
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec scan i =
@@ -149,6 +167,31 @@ let test_bad_arguments () =
   let code, _ = run "solve --topology mystery" in
   check_bool "unknown topology fails" true (code <> 0)
 
+(* The MD5 of [muerp traffic] stdout on a fixed set of flag sets: any
+   change to how the flags become a network, a workload, a policy or a
+   fault model shows up here as a digest mismatch. *)
+let pinned_traffic =
+  [
+    ("", "bf5171e945bffcc634c7894e28f3ccc5");
+    ("--fault-mtbf 30 --recovery reroute", "4973e41fbafa550c90d1bd9f023434a7");
+    ( "--tiers alg3,prim --budget 400 --max-queue 8 --max-inflight 10 --rate 2",
+      "d983019b5aa42cc5461b84b0023420da" );
+    ("--topology continent --hier", "e15fe14cf3a8fe9582485c01f18c76e4");
+    ( "--arrival batch:8:1.5 --modulate diurnal:60:0.5 --group pareto:1.5:2:5",
+      "d0b954363fe0bf7acd6cd261e71e5932" );
+  ]
+
+let test_pinned_traffic () =
+  List.iter
+    (fun (flags, digest) ->
+      let code, out = run_stdout ("traffic " ^ flags) in
+      check_int (Printf.sprintf "[%s] exit 0" flags) 0 code;
+      Alcotest.(check string)
+        (Printf.sprintf "[%s] stdout digest" flags)
+        digest
+        (Digest.to_hex (Digest.string out)))
+    pinned_traffic
+
 (* A halted faulty run leaves a cut, its FILE.prev and a journal in a
    scratch directory; [f] gets the directory and the run's flags. *)
 let with_halted_run f =
@@ -183,6 +226,28 @@ let test_inspect_cut () =
       check_bool "config" true (contains out "config: seed=13");
       check_bool "snapshot text view" true
         (contains out "(muerp-engine-snapshot/2" && contains out "(events"))
+
+(* The checkpoint fingerprint, pinned: a cut written by an older
+   binary restores only while this string stays byte-identical. *)
+let test_pinned_fingerprint () =
+  with_halted_run (fun ~flags:_ ~ckpt ~journal:_ ->
+      let code, out = run_stdout ("inspect " ^ Filename.quote ckpt) in
+      check_int "exit 0" 0 code;
+      let config =
+        List.find_opt
+          (String.starts_with ~prefix:"config: ")
+          (String.split_on_char '\n' out)
+      in
+      Alcotest.(check (option string))
+        "config line"
+        (Some
+           "config: seed=13 topology=waxman users=10 switches=20 degree=6 \
+            qubits=4 q=0.90000000000000002 alpha=0.0001 regions=4 \
+            workload=[30 requests, poisson 0.5/t, groups 2-4, lease 3-8t, \
+            patience 0-10t] policy=prim queue=32 retry=0.5/8 \
+            overload=0/0/0/0/0/false faults=20/5/both/0/100 recovery=repair \
+            reconfig=none")
+        config)
 
 let test_inspect_journal () =
   with_halted_run (fun ~flags ~ckpt ~journal ->
@@ -279,6 +344,9 @@ let () =
           Alcotest.test_case "solve --metrics" `Quick test_solve_metrics;
           Alcotest.test_case "bad arguments" `Quick test_bad_arguments;
           Alcotest.test_case "inspect cut" `Quick test_inspect_cut;
+          Alcotest.test_case "pinned fingerprint" `Quick
+            test_pinned_fingerprint;
+          Alcotest.test_case "pinned traffic" `Quick test_pinned_traffic;
           Alcotest.test_case "inspect journal" `Quick test_inspect_journal;
           Alcotest.test_case "inspect other" `Quick test_inspect_other;
           Alcotest.test_case "restore corrupt body" `Quick
