@@ -17,6 +17,7 @@
 module Figures = Qnet_experiments.Figures
 module Report = Qnet_experiments.Report
 module Config = Qnet_experiments.Config
+module Scenario = Qnet_scenario.Scenario
 
 let replications =
   match Sys.getenv_opt "MUERP_REPLICATIONS" with
@@ -116,25 +117,33 @@ let run_ablations () =
 
 let traffic_policies = [ "prim"; "alg3"; "eqcast"; "cached-prim"; "flow" ]
 
+(* The benches' scenarios: the §V-A network at [seed] serving
+   [requests] Poisson arrivals at [rate], everything else at the CLI
+   defaults. *)
+let scenario ~seed ~requests ~rate =
+  let d = Scenario.default in
+  {
+    d with
+    network = { d.network with seed };
+    workload =
+      { d.workload with requests; arrivals = Qnet_online.Workload.Poisson rate };
+  }
+
+let build s =
+  match Scenario.validate s with
+  | Ok s -> Scenario.build s
+  | Error m -> failwith ("bench scenario: " ^ m)
+
+(* Build and serve a scenario: the report. *)
+let serve s =
+  let b = build s in
+  fst
+    (Qnet_online.Engine.run ~config:b.config ?faults:b.fault_model b.net.graph
+       b.net.params ~requests:b.requests)
+
 let traffic_scenario ~seed policy_name =
-  let rng = Qnet_util.Prng.create seed in
-  let g = Qnet_topology.Waxman.generate rng Qnet_topology.Spec.default in
-  let params = Qnet_core.Params.default in
-  let wspec =
-    Qnet_online.Workload.spec ~requests:120
-      ~arrivals:(Qnet_online.Workload.Poisson 1.) ()
-  in
-  let reqs =
-    Qnet_online.Workload.generate (Qnet_util.Prng.create (seed + 8_191)) g
-      wspec
-  in
-  let policy =
-    match Qnet_online.Policy.of_name policy_name with
-    | Some p -> p
-    | None -> failwith ("unknown traffic policy: " ^ policy_name)
-  in
-  let config = Qnet_online.Engine.config policy in
-  fst (Qnet_online.Engine.run ~config g params ~requests:reqs)
+  let s = scenario ~seed ~requests:120 ~rate:1. in
+  serve { s with policy = { s.policy with name = policy_name } }
 
 let run_traffic () =
   let module E = Qnet_online.Engine in
@@ -186,28 +195,12 @@ let run_traffic () =
 let fault_mtbf_levels = [ 40.; 15.; 6. ]
 
 let chaos_scenario ~seed mtbf =
-  let rng = Qnet_util.Prng.create seed in
-  let g = Qnet_topology.Waxman.generate rng Qnet_topology.Spec.default in
-  let params = Qnet_core.Params.default in
-  let wspec =
-    Qnet_online.Workload.spec ~requests:120
-      ~arrivals:(Qnet_online.Workload.Poisson 1.) ()
-  in
-  let reqs =
-    Qnet_online.Workload.generate (Qnet_util.Prng.create (seed + 8_191)) g
-      wspec
-  in
-  let policy = Option.get (Qnet_online.Policy.of_name "prim") in
-  let config =
-    Qnet_online.Engine.config ~recovery:Qnet_online.Engine.Repair policy
-  in
-  let faults =
-    Option.map
-      (fun mtbf ->
-        Qnet_faults.Model.make ~mtbf ~mttr:5. ~seed:(seed + 40_961) ())
-      mtbf
-  in
-  fst (Qnet_online.Engine.run ~config ?faults g params ~requests:reqs)
+  let s = scenario ~seed ~requests:120 ~rate:1. in
+  serve
+    {
+      s with
+      faults = { s.faults with mtbf = Option.value mtbf ~default:0.; mttr = 5. };
+    }
 
 let run_faults () =
   let module E = Qnet_online.Engine in
@@ -249,31 +242,15 @@ let run_faults () =
 let overload_offered_loads = [ 0.5; 1.5; 3.; 6. ]
 
 let overload_scenario ~seed offered_load =
-  let rng = Qnet_util.Prng.create seed in
-  let g = Qnet_topology.Waxman.generate rng Qnet_topology.Spec.default in
-  let params = Qnet_core.Params.default in
-  let wspec =
-    Qnet_online.Workload.spec ~requests:160
-      ~arrivals:(Qnet_online.Workload.Poisson offered_load) ()
-  in
-  let reqs =
-    Qnet_online.Workload.generate (Qnet_util.Prng.create (seed + 8_191)) g
-      wspec
-  in
-  (* Fresh tier stats per scenario: the tiered combinator's breakers
-     and histogram are stateful. *)
-  let policy, tier_stats =
-    Qnet_online.Policy.tiered ~fuel:400
-      [
-        Option.get (Qnet_online.Policy.of_name "alg3");
-        Option.get (Qnet_online.Policy.of_name "prim");
-      ]
-  in
-  let overload =
-    Qnet_overload.Admission.make ~max_queue:8 ~max_inflight:10 ~rate:2. ()
-  in
-  let config = Qnet_online.Engine.config ~overload ~tier_stats policy in
-  fst (Qnet_online.Engine.run ~config g params ~requests:reqs)
+  let s = scenario ~seed ~requests:160 ~rate:offered_load in
+  (* Each build makes fresh tier stats: the tiered combinator's
+     breakers and histogram are stateful. *)
+  serve
+    {
+      s with
+      policy = { s.policy with tiers = Some "alg3,prim"; budget = 400 };
+      overload = { s.overload with max_queue = 8; max_inflight = 10; rate = 2. };
+    }
 
 let run_overload () =
   let module E = Qnet_online.Engine in
@@ -338,16 +315,18 @@ type hier_result = {
 }
 
 let hier_scenario n_switches =
-  let regions = Qnet_hier.Partition.auto_regions n_switches in
-  let spec =
-    Qnet_topology.Spec.create ~n_users:12 ~n_switches ~qubits_per_switch:6 ()
+  let net =
+    Scenario.build_net
+      {
+        Scenario.default_network with
+        seed = 42;
+        topology = "continent";
+        users = 12;
+        switches = n_switches;
+        qubits = 6;
+      }
   in
-  let g, labels =
-    Qnet_topology.Continent.generate_labeled
-      ~params:{ Qnet_topology.Continent.default_params with regions }
-      (Qnet_util.Prng.create 42) spec
-  in
-  let params = Qnet_core.Params.default in
+  let g = net.graph and params = net.params in
   let users = Array.of_list (Qnet_graph.Graph.users g) in
   let rng = Qnet_util.Prng.create 4242 in
   let pairs =
@@ -378,8 +357,7 @@ let hier_scenario n_switches =
   in
   let setup_s, oracle =
     time (fun () ->
-        let part = Qnet_hier.Partition.of_assignment g labels in
-        Qnet_hier.Oracle.create g params part)
+        Qnet_hier.Oracle.create g params (Lazy.force net.partition))
   in
   let wall_hier_s, hier =
     time (fun () ->
@@ -405,7 +383,7 @@ let hier_scenario n_switches =
   let count side = List.length (List.filter Option.is_some side) in
   {
     h_switches = n_switches;
-    h_regions = regions;
+    h_regions = net.regions;
     h_pairs = List.length pairs;
     flat_feasible = count flat;
     hier_feasible = count hier;
@@ -463,10 +441,8 @@ let run_hier () =
    network. *)
 let micro () =
   let open Bechamel in
-  let rng = Qnet_util.Prng.create 42 in
-  let spec = Qnet_topology.Spec.default in
-  let g = Qnet_topology.Waxman.generate rng spec in
-  let params = Qnet_core.Params.default in
+  let net = Scenario.build_net { Scenario.default_network with seed = 42 } in
+  let g = net.graph and params = net.params in
   let inst = Qnet_core.Muerp.instance ~params g in
   let solve_test name algorithm =
     Test.make ~name
@@ -683,8 +659,7 @@ type flow_row = {
 
 let flow_networks () =
   ( "waxman-default",
-    Qnet_topology.Waxman.generate (Qnet_util.Prng.create 42)
-      Qnet_topology.Spec.default )
+    (Scenario.build_net { Scenario.default_network with seed = 42 }).graph )
   :: List.map
        (fun (name, net) ->
          ( name,
@@ -870,9 +845,8 @@ let parallel_section () =
   (* Monte-Carlo workload: one routed tree on the default network,
      trial count scaled with MUERP_REPLICATIONS so smoke runs stay
      quick. *)
-  let rng = Qnet_util.Prng.create 42 in
-  let g = Qnet_topology.Waxman.generate rng Qnet_topology.Spec.default in
-  let params = Qnet_core.Params.default in
+  let net = Scenario.build_net { Scenario.default_network with seed = 42 } in
+  let g = net.graph and params = net.params in
   let tree =
     match
       (Qnet_core.Muerp.solve Qnet_core.Muerp.Conflict_free
@@ -927,19 +901,13 @@ let parallel_section () =
    the derived overhead vary run to run. *)
 let resilience_section () =
   let module E = Qnet_online.Engine in
-  let module W = Qnet_online.Workload in
   let module Checkpoint = Qnet_resilience.Checkpoint in
   let module Journal = Qnet_resilience.Journal in
-  let rng = Qnet_util.Prng.create 42 in
-  let g = Qnet_topology.Waxman.generate rng Qnet_topology.Spec.default in
-  let params = Qnet_core.Params.default in
-  let wspec = W.spec ~requests:200 ~arrivals:(W.Poisson 1.) () in
-  let reqs = W.generate (Qnet_util.Prng.create (42 + 8_191)) g wspec in
-  let faults =
-    Qnet_faults.Model.make ~mtbf:25. ~mttr:5. ~targets:Qnet_faults.Model.Both
-      ~seed:(42 + 40_961) ()
-  in
-  let config = E.config Qnet_online.Policy.prim in
+  let s = scenario ~seed:42 ~requests:200 ~rate:1. in
+  let s = { s with faults = { s.faults with mtbf = 25.; mttr = 5. } } in
+  let b = build s in
+  let g = b.net.graph and params = b.net.params and reqs = b.requests in
+  let faults = Option.get b.fault_model and config = b.config in
   let every = 10. in
   let wall_plain, (plain_report, _) =
     timed (fun () -> E.run ~config ~faults g params ~requests:reqs)
@@ -1065,7 +1033,7 @@ let resilience_section () =
   let cadence = List.map cadence_row [ 10.; 30. ] in
   jobj
     [
-      ("requests", string_of_int wspec.W.requests);
+      ("requests", string_of_int s.workload.requests);
       ("checkpoint_every", jfloat every);
       ("checkpoints", string_of_int !cuts);
       ("snapshot_bytes", string_of_int !snapshot_bytes);

@@ -72,7 +72,7 @@ let config ?(admission = Queue 32) ?(retry_base = 0.5) ?(retry_max = 8.)
   | Queue n -> if n < 1 then invalid_arg "Engine.config: queue bound < 1");
   if retry_base <= 0. || not (Float.is_finite retry_base) then
     invalid_arg "Engine.config: retry_base must be positive";
-  if retry_max < retry_base then
+  if not (retry_max >= retry_base) then
     invalid_arg "Engine.config: retry_max < retry_base";
   (match budget with
   | Some f when f <= 0 -> invalid_arg "Engine.config: budget must be positive"
@@ -533,7 +533,7 @@ let validate_schedule g schedule =
     schedule
 
 let run ?config:(cfg = config Policy.prim) ?faults ?fault_schedule ?on_incident
-    ?on_health ?on_transition ?pool ?checkpoint ?(reconfig = []) ?restore_from
+    ?on_health ?on_transition ?checkpoint ?(reconfig = []) ?restore_from
     g params ~requests =
   validate g requests;
   Option.iter (validate_schedule g) fault_schedule;
@@ -553,14 +553,6 @@ let run ?config:(cfg = config Policy.prim) ?faults ?fault_schedule ?on_incident
   (match Reconfig.validate g reconfig with
   | Ok () -> ()
   | Error e -> invalid_arg ("Engine.run: " ^ e));
-  (* Called from inside a parallel region (a policy or harness that is
-     itself running on a pool), nested submission would raise in the
-     watchdog pass: verify serially instead. *)
-  let pool =
-    match pool with
-    | Some _ when Qnet_util.Pool.in_parallel_region () -> None
-    | p -> p
-  in
   let capacity = Capacity.of_graph g in
   let health =
     (* Reconfiguration rides on the same availability state as faults:
@@ -1542,28 +1534,15 @@ let run ?config:(cfg = config Policy.prim) ?faults ?fault_schedule ?on_incident
       !outcomes
   in
   (* Watchdog pass: independently re-validate every tree that was put in
-     service, including repaired and rerouted ones.  Read-only, so the
-     optional pool parallelises it without affecting determinism. *)
-  let served_trees =
-    List.filter_map
-      (fun o ->
-        match o.resolution with
-        | Served { tree; _ } -> Some (o.request.Workload.users, tree)
-        | _ -> None)
-      outcomes
-    |> Array.of_list
-  in
-  let verify_one i =
-    let users, tree = served_trees.(i) in
-    Verify.check_exn ~context:"served tree" g params ~users tree
-  in
-  (match pool with
-  | Some p ->
-      Qnet_util.Pool.parallel_for p (Array.length served_trees) verify_one
-  | None ->
-      for i = 0 to Array.length served_trees - 1 do
-        verify_one i
-      done);
+     service, including repaired and rerouted ones. *)
+  List.iter
+    (fun o ->
+      match o.resolution with
+      | Served { tree; _ } ->
+          Verify.check_exn ~context:"served tree" g params
+            ~users:o.request.Workload.users tree
+      | _ -> ())
+    outcomes;
   let waits, rates =
     List.fold_left
       (fun (ws, rs) o ->

@@ -44,8 +44,7 @@
     the live residual state, with lease ids assigned as leases start.
     The fault schedule is materialised before the run from the fault
     model's own seed.  A fixed (workload, fault) seed therefore
-    reproduces the report bit-for-bit, at every [--jobs] level (the pool
-    only parallelises the read-only verification pass) and after a
+    reproduces the report bit-for-bit, run after run and after a
     restore at any cut.
 
     {b Self-checking.}  Every repaired or rerouted tree passes
@@ -386,7 +385,6 @@ val run :
   ?on_incident:(incident -> unit) ->
   ?on_health:(Qnet_faults.Health.t -> unit) ->
   ?on_transition:(transition -> unit) ->
-  ?pool:Qnet_util.Pool.t ->
   ?checkpoint:float * (float -> snapshot -> unit) ->
   ?reconfig:Reconfig.event list ->
   ?restore_from:snapshot ->
@@ -413,12 +411,10 @@ val run :
     restored run starts emitting at its cut, exactly where the original
     run's journal left off).
 
-    [pool] parallelises only the read-only watchdog pass that
-    re-validates every served tree after the loop ends; serving itself
-    is serial.  Called from inside a parallel region, the engine ignores
-    the pool and verifies serially.  Outcomes are returned in request-id
-    order.  Deterministic: identical inputs give identical reports,
-    outcomes and [online.*] counters with or without a pool.
+    The run is serial throughout, including the watchdog pass that
+    re-validates every served tree after the loop ends.  Outcomes are
+    returned in request-id order.  Deterministic: identical inputs give
+    identical reports, outcomes and [online.*] counters.
 
     [checkpoint = (every, sink)] cuts a {!snapshot} at each multiple of
     [every] (simulation time), calling [sink instant snapshot] at the

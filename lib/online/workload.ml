@@ -31,7 +31,7 @@ type spec = {
 }
 
 let check_range name (lo, hi) =
-  if lo < 0. || hi < lo || not (Float.is_finite hi) then
+  if not (lo >= 0.) || hi < lo || not (Float.is_finite hi) then
     invalid_arg (Printf.sprintf "Workload.spec: bad %s range" name)
 
 let spec ?(requests = 100) ?(arrivals = Poisson 0.5)
@@ -72,7 +72,7 @@ let spec ?(requests = 100) ?(arrivals = Poisson 0.5)
   | Diurnal { period; amplitude } ->
       if period <= 0. || not (Float.is_finite period) then
         invalid_arg "Workload.spec: diurnal period must be positive";
-      if amplitude < 0. || amplitude >= 1. then
+      if not (amplitude >= 0. && amplitude < 1.) then
         invalid_arg "Workload.spec: diurnal amplitude must be in [0, 1)"
   | Flash { at; width; boost } ->
       if at < 0. || not (Float.is_finite at) then

@@ -53,8 +53,8 @@ let inject data = function
       Bytes.to_string b
   | Bit_flip _ -> data
 
-let crash_restore ?config ?faults ?fault_schedule ?reconfig ?pool
-    ?inject:injection ~every g params ~requests =
+let crash_restore ?config ?faults ?fault_schedule ?reconfig ?inject:injection
+    ~every g params ~requests =
   let dir = Filename.temp_dir "muerp-drill" "" in
   let path = Filename.concat dir "drill.ckpt" in
   let jpath = Filename.concat dir "drill.journal" in
@@ -82,7 +82,7 @@ let crash_restore ?config ?faults ?fault_schedule ?reconfig ?pool
         | Error m -> errors := (!cuts, "cut failed: " ^ m) :: !errors
       in
       let run ?on_transition ?checkpoint ?restore_from () =
-        Engine.run ?config ?faults ?fault_schedule ?reconfig ?pool
+        Engine.run ?config ?faults ?fault_schedule ?reconfig
           ?on_transition ?checkpoint ?restore_from g params ~requests
       in
       let base_report, base_outcomes =

@@ -43,7 +43,6 @@ val crash_restore :
   ?faults:Qnet_faults.Model.t ->
   ?fault_schedule:Qnet_faults.Schedule.event list ->
   ?reconfig:Qnet_online.Reconfig.event list ->
-  ?pool:Qnet_util.Pool.t ->
   ?inject:injection ->
   every:float ->
   Qnet_graph.Graph.t ->

@@ -28,77 +28,63 @@ echo "traffic reproducible, served=$served"
 
 echo "== chaos smoke =="
 # Fault injection must be just as reproducible: the same seeded chaos
-# run twice, and at --jobs 1 vs --jobs 2, must print byte-identical
-# reports — and must actually interrupt some leases.
+# run twice must print byte-identical reports — and must actually
+# interrupt some leases.
 chaos_a=$(mktemp -t muerp_chaos_a.XXXXXX)
 chaos_b=$(mktemp -t muerp_chaos_b.XXXXXX)
-chaos_j2=$(mktemp -t muerp_chaos_j2.XXXXXX)
-trap 'rm -f "$run_a" "$run_b" "$chaos_a" "$chaos_b" "$chaos_j2"' EXIT
+trap 'rm -f "$run_a" "$run_b" "$chaos_a" "$chaos_b"' EXIT
 chaos_flags="--seed 42 -n 40 --switches 40 --fault-mtbf 15 --fault-mttr 4 --recovery repair"
-dune exec bin/muerp_cli.exe -- traffic $chaos_flags --jobs 1 >"$chaos_a"
-dune exec bin/muerp_cli.exe -- traffic $chaos_flags --jobs 1 >"$chaos_b"
+dune exec bin/muerp_cli.exe -- traffic $chaos_flags >"$chaos_a"
+dune exec bin/muerp_cli.exe -- traffic $chaos_flags >"$chaos_b"
 cmp "$chaos_a" "$chaos_b" ||
   { echo "chaos run not reproducible" >&2; exit 1; }
-dune exec bin/muerp_cli.exe -- traffic $chaos_flags --jobs 2 >"$chaos_j2"
-cmp "$chaos_a" "$chaos_j2" ||
-  { echo "chaos run differs between --jobs 1 and --jobs 2" >&2; exit 1; }
 faults=$(awk '$2 == "faults_injected" { print $4 }' "$chaos_a")
 [ -n "$faults" ] && [ "$faults" -gt 0 ] ||
   { echo "chaos smoke injected no faults (faults=$faults)" >&2; exit 1; }
-echo "chaos reproducible at --jobs 1 and 2, faults_injected=$faults"
+echo "chaos reproducible, faults_injected=$faults"
 
 echo "== overload smoke =="
 # A seeded burst far above capacity, served under admission limits and
 # a tiered degradation policy, must (a) print byte-identical reports
-# twice and at --jobs 1 vs --jobs 2, (b) actually shed and degrade.
+# twice, (b) actually shed and degrade.
 over_a=$(mktemp -t muerp_over_a.XXXXXX)
 over_b=$(mktemp -t muerp_over_b.XXXXXX)
-over_j2=$(mktemp -t muerp_over_j2.XXXXXX)
-trap 'rm -f "$run_a" "$run_b" "$over_a" "$over_b" "$over_j2"' EXIT
+trap 'rm -f "$run_a" "$run_b" "$over_a" "$over_b"' EXIT
 over_flags="--seed 7 -n 120 --switches 60 --users 12 \
   --arrival pareto:1.5:0.05:2 --group pareto:1.2:2:6 \
   --max-queue 8 --rate 3 --budget 40 --tiers alg3,prim"
-dune exec bin/muerp_cli.exe -- traffic $over_flags --jobs 1 >"$over_a"
-dune exec bin/muerp_cli.exe -- traffic $over_flags --jobs 1 >"$over_b"
+dune exec bin/muerp_cli.exe -- traffic $over_flags >"$over_a"
+dune exec bin/muerp_cli.exe -- traffic $over_flags >"$over_b"
 cmp "$over_a" "$over_b" ||
   { echo "overload run not reproducible" >&2; exit 1; }
-dune exec bin/muerp_cli.exe -- traffic $over_flags --jobs 2 >"$over_j2"
-cmp "$over_a" "$over_j2" ||
-  { echo "overload run differs between --jobs 1 and --jobs 2" >&2; exit 1; }
 shed=$(awk '$2 == "shed" { print $4 }' "$over_a")
 degraded=$(awk '$2 == "degraded" { print $4 }' "$over_a")
 [ -n "$shed" ] && [ "$shed" -gt 0 ] ||
   { echo "overload smoke shed nothing (shed=$shed)" >&2; exit 1; }
 [ -n "$degraded" ] && [ "$degraded" -gt 0 ] ||
   { echo "overload smoke never degraded (degraded=$degraded)" >&2; exit 1; }
-echo "overload reproducible at --jobs 1 and 2, shed=$shed degraded=$degraded"
+echo "overload reproducible, shed=$shed degraded=$degraded"
 
 echo "== batched serving smoke =="
-# Synchronised arrival batches must print byte-identical reports twice
-# at --jobs 4, and --jobs 4 must match --jobs 1 exactly.
-batch_j1=$(mktemp -t muerp_batch_j1.XXXXXX)
-batch_j4a=$(mktemp -t muerp_batch_j4a.XXXXXX)
-batch_j4b=$(mktemp -t muerp_batch_j4b.XXXXXX)
-trap 'rm -f "$run_a" "$run_b" "$batch_j1" "$batch_j4a" "$batch_j4b"' EXIT
-batch_flags="--seed 11 -n 80 --switches 50 --batch 8 --batch-period 1.5"
-dune exec bin/muerp_cli.exe -- traffic $batch_flags --jobs 1 >"$batch_j1"
-dune exec bin/muerp_cli.exe -- traffic $batch_flags --jobs 4 >"$batch_j4a"
-dune exec bin/muerp_cli.exe -- traffic $batch_flags --jobs 4 >"$batch_j4b"
-cmp "$batch_j4a" "$batch_j4b" ||
-  { echo "batched serving run not reproducible at --jobs 4" >&2; exit 1; }
-cmp "$batch_j1" "$batch_j4a" ||
-  { echo "batched serving differs between --jobs 1 and --jobs 4" >&2
-    exit 1; }
-batch_served=$(awk '$2 == "served" { print $4 }' "$batch_j1")
+# Synchronised arrival batches must print byte-identical reports twice.
+batch_a=$(mktemp -t muerp_batch_a.XXXXXX)
+batch_b=$(mktemp -t muerp_batch_b.XXXXXX)
+trap 'rm -f "$run_a" "$run_b" "$batch_a" "$batch_b"' EXIT
+batch_flags="--seed 11 -n 80 --switches 50 --arrival batch:8:1.5"
+dune exec bin/muerp_cli.exe -- traffic $batch_flags >"$batch_a"
+dune exec bin/muerp_cli.exe -- traffic $batch_flags >"$batch_b"
+cmp "$batch_a" "$batch_b" ||
+  { echo "batched serving run not reproducible" >&2; exit 1; }
+batch_served=$(awk '$2 == "served" { print $4 }' "$batch_a")
 [ -n "$batch_served" ] && [ "$batch_served" -gt 0 ] ||
   { echo "batched serving served nothing (served=$batch_served)" >&2
     exit 1; }
-echo "batched serving identical at --jobs 1/4, served=$batch_served"
+echo "batched serving reproducible, served=$batch_served"
 
 echo "== crash-recovery smoke =="
 # Kill a faulty run at a checkpoint (with a write-ahead journal),
-# restore it at a different --jobs level, and demand the restored
-# report be byte-identical to the uninterrupted run's.  Zeroing a byte
+# restore it, and demand the restored report be byte-identical to the
+# uninterrupted run's.  Zeroing a byte
 # of the newest cut must fall back to FILE.prev with a warning and
 # STILL reproduce the report (the determinism contract); corrupting
 # both cuts must exit 2 naming the file.  `muerp inspect` must read a
@@ -120,7 +106,7 @@ dune exec bin/muerp_cli.exe -- traffic $rec_flags --checkpoint-every 3 \
 [ -f "$ckpt.prev" ] ||
   { echo "checkpointed run kept no previous cut" >&2; exit 1; }
 dune exec bin/muerp_cli.exe -- traffic $rec_flags --restore "$ckpt" \
-  --journal "$journal" --jobs 2 >"$rec_rest"
+  --journal "$journal" >"$rec_rest"
 grep '^|' "$rec_rest" >"$rec_rest.tbl"
 cmp "$rec_full.tbl" "$rec_rest.tbl" ||
   { echo "restored report differs from the uninterrupted run" >&2; exit 1; }
@@ -185,20 +171,16 @@ echo "SLA gate trips under overload, passes when healthy"
 
 echo "== hier smoke =="
 # Hierarchical routing on a continent topology must be reproducible
-# (twice, and at --jobs 1 vs --jobs 2) and must actually serve.
+# and must actually serve.
 hier_a=$(mktemp -t muerp_hier_a.XXXXXX)
 hier_b=$(mktemp -t muerp_hier_b.XXXXXX)
-hier_j2=$(mktemp -t muerp_hier_j2.XXXXXX)
-trap 'rm -f "$run_a" "$run_b" "$hier_a" "$hier_b" "$hier_j2"' EXIT
+trap 'rm -f "$run_a" "$run_b" "$hier_a" "$hier_b"' EXIT
 hier_flags="--topology continent --regions 4 --switches 120 --users 12 \
   --hier --seed 42 -n 40"
-dune exec bin/muerp_cli.exe -- traffic $hier_flags --jobs 1 >"$hier_a"
-dune exec bin/muerp_cli.exe -- traffic $hier_flags --jobs 1 >"$hier_b"
+dune exec bin/muerp_cli.exe -- traffic $hier_flags >"$hier_a"
+dune exec bin/muerp_cli.exe -- traffic $hier_flags >"$hier_b"
 cmp "$hier_a" "$hier_b" ||
   { echo "hier traffic run not reproducible" >&2; exit 1; }
-dune exec bin/muerp_cli.exe -- traffic $hier_flags --jobs 2 >"$hier_j2"
-cmp "$hier_a" "$hier_j2" ||
-  { echo "hier traffic run differs between --jobs 1 and --jobs 2" >&2; exit 1; }
 hier_served=$(awk '$2 == "served" { print $4 }' "$hier_a")
 [ -n "$hier_served" ] && [ "$hier_served" -gt 0 ] ||
   { echo "hier smoke served nothing (served=$hier_served)" >&2; exit 1; }
@@ -207,7 +189,7 @@ dune exec bin/muerp_cli.exe -- solve --topology continent --regions 4 \
   --switches 120 --users 12 --hier --seed 42 |
   grep -q "^hier-prim:" ||
   { echo "solve --hier printed no hier-prim tree" >&2; exit 1; }
-echo "hier reproducible at --jobs 1 and 2, served=$hier_served"
+echo "hier reproducible, served=$hier_served"
 
 echo "== flow smoke =="
 # The flow optimizer must (a) print byte-identical output twice and at

@@ -30,23 +30,29 @@ let run args =
   in
   (code, content)
 
-(* Like [run], but stdout alone: stderr goes to the null device. *)
-let run_stdout args =
-  let out = Filename.temp_file "muerp_cli" ".out" in
-  let cmd =
-    Printf.sprintf "%s %s > %s 2> %s" (Filename.quote binary) args
-      (Filename.quote out) (Filename.quote Filename.null)
-  in
-  let code = Sys.command cmd in
-  let ic = open_in_bin out in
-  let content =
+(* Like [run], but stdout and stderr apart. *)
+let run_split args =
+  let read path =
+    let ic = open_in_bin path in
     Fun.protect
       ~finally:(fun () ->
         close_in ic;
-        Sys.remove out)
+        Sys.remove path)
       (fun () -> really_input_string ic (in_channel_length ic))
   in
-  (code, content)
+  let out = Filename.temp_file "muerp_cli" ".out" in
+  let err = Filename.temp_file "muerp_cli" ".err" in
+  let code =
+    Sys.command
+      (Printf.sprintf "%s %s > %s 2> %s" (Filename.quote binary) args
+         (Filename.quote out) (Filename.quote err))
+  in
+  let out = read out in
+  (code, out, read err)
+
+let run_stdout args =
+  let code, out, _ = run_split args in
+  (code, out)
 
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -191,6 +197,65 @@ let test_pinned_traffic () =
         digest
         (Digest.to_hex (Digest.string out)))
     pinned_traffic
+
+(* A bad setting exits 2 with a one-line message naming its flag,
+   before anything reaches stdout — never an uncaught exception. *)
+let check_rejected args flag =
+  let code, out, err = run_split args in
+  check_int (args ^ ": exit 2") 2 code;
+  Alcotest.(check string) (args ^ ": nothing on stdout") "" out;
+  check_bool (args ^ ": names " ^ flag) true (contains err flag);
+  check_bool (args ^ ": no internal error") false
+    (contains err "internal error" || contains err "uncaught exception")
+
+(* The network flags every network subcommand shares: each value used
+   to crash with an uncaught Invalid_argument. *)
+let test_bad_network_flags () =
+  List.iter
+    (fun (cmd, flags) ->
+      List.iter (fun (arg, flag) -> check_rejected (cmd ^ " " ^ arg) flag) flags)
+    [
+      ( "solve",
+        [ ("-q 2", "--swap-rate"); ("--alpha=-1", "--alpha");
+          ("--degree=nan", "--degree"); ("--qubits=-1", "--qubits") ] );
+      ("dot", [ ("--degree=nan", "--degree"); ("--qubits=-1", "--qubits") ]);
+      ( "traffic",
+        [ ("-q 2", "--swap-rate"); ("--alpha=-1", "--alpha");
+          ("--degree=nan", "--degree"); ("--qubits=-1", "--qubits") ] );
+    ]
+
+(* Values that used to run silently as "off" (a negative or NaN
+   sentinel) or to crash, each against the flag it must name. *)
+let hostile_traffic =
+  [
+    ("--rate=nan", "--rate");
+    ("--halt-at=nan", "--halt-at");
+    ("--halt-at=-5", "--halt-at");
+    ("--queue=-1", "--queue");
+    ("--max-queue=-4", "--max-queue");
+    ("--max-inflight=-1", "--max-inflight");
+    ("--burst=-2", "--burst");
+    ("--budget=-5", "--budget");
+    ("--fault-mtbf=nan", "--fault-mtbf");
+    ("--fault-mtbf=-1", "--fault-mtbf");
+    ("--fault-regional=nan", "--fault-regional");
+    ("--fault-regional=-1", "--fault-regional");
+    ("--fault-radius=nan", "--fault-radius");
+    ("--fail-on-sla=nan", "--fail-on-sla");
+    ("--tiers=", "--tiers");
+    ("--tiers=" ^ Filename.quote "alg3>>prim", "--tiers");
+    ("--arrival=pareto:x", "--arrival");
+    ("--group=uniform:5:2", "--group");
+    ("--duration-min=nan", "--duration-min");
+  ]
+
+let test_hostile_values () =
+  List.iter
+    (fun (arg, flag) -> check_rejected ("traffic -n 5 " ^ arg) flag)
+    hostile_traffic;
+  (* Cmdliner's own type errors keep its exit code. *)
+  let code, _ = run "traffic --rate=abc" in
+  check_int "--rate=abc: exit 124" 124 code
 
 (* A halted faulty run leaves a cut, its FILE.prev and a journal in a
    scratch directory; [f] gets the directory and the run's flags. *)
@@ -343,6 +408,8 @@ let () =
           Alcotest.test_case "sweep" `Quick test_sweep;
           Alcotest.test_case "solve --metrics" `Quick test_solve_metrics;
           Alcotest.test_case "bad arguments" `Quick test_bad_arguments;
+          Alcotest.test_case "bad network flags" `Quick test_bad_network_flags;
+          Alcotest.test_case "hostile values" `Quick test_hostile_values;
           Alcotest.test_case "inspect cut" `Quick test_inspect_cut;
           Alcotest.test_case "pinned fingerprint" `Quick
             test_pinned_fingerprint;

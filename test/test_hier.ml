@@ -2,12 +2,11 @@
    continent-of-Waxmans scale generator: partition correctness, the
    feasibility-equivalence and rate properties of the channel oracle,
    Verify-clean tree construction without oversubscription, exclusion-
-   driven cache invalidation, and engine determinism across --jobs. *)
+   driven cache invalidation, and engine determinism. *)
 
 module Graph = Qnet_graph.Graph
 module Paths = Qnet_graph.Paths
 module Prng = Qnet_util.Prng
-module Pool = Qnet_util.Pool
 module Spec = Qnet_topology.Spec
 module Waxman = Qnet_topology.Waxman
 module Continent = Qnet_topology.Continent
@@ -399,9 +398,9 @@ let test_engine_serves_hierarchically () =
   check_bool "served some" true (report.Engine.served > 0);
   check_int "all resolved" 40 (List.length outcomes)
 
-let test_engine_jobs_determinism () =
-  (* Same seed, --jobs 1 vs --jobs 2: identical hierarchical solves.
-     Fresh oracle per run so no cache state crosses runs. *)
+let test_engine_determinism () =
+  (* Same seed, two runs: identical hierarchical solves.  Fresh oracle
+     per run so no cache state crosses runs. *)
   let g, labels = continent ~regions:4 ~users:12 ~switches:60 17 in
   let summary (o : Engine.outcome) =
     let id = o.Engine.request.Workload.id in
@@ -415,19 +414,17 @@ let test_engine_jobs_determinism () =
     | Engine.Interrupted { start; at; attempts; _ } ->
         (id, "interrupted", start, at, 0., attempts)
   in
-  let run pool =
+  let run () =
     let config = Engine.config (hier_policy g labels) in
     let report, outcomes =
-      Engine.run ~config ?pool g params ~requests:(traffic_requests g 17 60)
+      Engine.run ~config g params ~requests:(traffic_requests g 17 60)
     in
     ( report.Engine.served,
       report.Engine.acceptance_ratio,
       report.Engine.mean_rate,
       List.map summary outcomes )
   in
-  let r1 = run None in
-  let r2 = Pool.with_pool ~jobs:2 (fun p -> run (Some p)) in
-  check_bool "identical at jobs 1 vs 2" true (r1 = r2)
+  check_bool "identical across runs" true (run () = run ())
 
 let test_engine_hier_under_faults () =
   let g, labels = continent ~regions:4 ~users:12 ~switches:60 23 in
@@ -531,8 +528,7 @@ let () =
         [
           Alcotest.test_case "engine serves" `Quick
             test_engine_serves_hierarchically;
-          Alcotest.test_case "jobs determinism" `Quick
-            test_engine_jobs_determinism;
+          Alcotest.test_case "determinism" `Quick test_engine_determinism;
           Alcotest.test_case "faults" `Quick test_engine_hier_under_faults;
         ] );
     ]

@@ -590,11 +590,9 @@ let test_fault_replay_qcheck () =
   QCheck.Test.check_exn test
 
 (* ------------------------------------------------------------------ *)
-(* Pool equivalence: serving is serial and the pool only parallelises
-   the read-only verification pass, so a pool must leave no observable
-   trace — report, resolution stream, and the engine/overload counters
-   all equal to the pool-free run, at every jobs level, under batched
-   arrivals, faults and overload too. *)
+(* Replay equivalence: a second run of the same inputs leaves the same
+   trace — report, resolution stream, and the engine/overload counters —
+   under batched arrivals, faults and overload too. *)
 
 let run_with_engine_counters f =
   let module Tm = Qnet_telemetry.Metrics in
@@ -615,7 +613,7 @@ let run_with_engine_counters f =
   Tm.set_enabled false;
   (result, List.sort compare counters)
 
-let test_batched_matches_serial_qcheck () =
+let test_batched_replay_qcheck () =
   let prop seed =
     let rng = Prng.create ((seed * 13) + 5) in
     let g = network ~users:6 ~switches:15 ~qubits:2 ((seed mod 50) + 1) in
@@ -631,7 +629,7 @@ let test_batched_matches_serial_qcheck () =
     in
     let reqs = Workload.generate (Prng.create seed) g spec in
     (* Fresh policy per run: the cached adapter's memo table must not
-       leak between the pool-free baseline and the pooled replays. *)
+       leak between the baseline and the replay. *)
     let make_policy () =
       match seed mod 4 with
       | 0 -> Policy.prim
@@ -661,54 +659,27 @@ let test_batched_matches_serial_qcheck () =
                }))
       else None
     in
-    let run ?pool () =
+    let run () =
       let config = Engine.config ~retry_base:0.5 ~overload (make_policy ()) in
       run_with_engine_counters (fun () ->
-          Engine.run ~config ?fault_schedule ?pool g params ~requests:reqs)
+          Engine.run ~config ?fault_schedule g params ~requests:reqs)
     in
     let (base_report, base_outcomes), base_counters = run () in
-    List.iter
-      (fun jobs ->
-        Qnet_util.Pool.with_pool ~jobs (fun pool ->
-            let (report, outcomes), counters = run ~pool () in
-            if report <> base_report then
-              Alcotest.failf "report diverged at jobs=%d" jobs;
-            if outcomes <> base_outcomes then
-              Alcotest.failf "outcomes diverged at jobs=%d" jobs;
-            if counters <> base_counters then
-              Alcotest.failf "engine counters diverged at jobs=%d" jobs))
-      [ 1; 2; 4 ];
+    let (report, outcomes), counters = run () in
+    if report <> base_report then Alcotest.fail "report diverged on replay";
+    if outcomes <> base_outcomes then
+      Alcotest.fail "outcomes diverged on replay";
+    if counters <> base_counters then
+      Alcotest.fail "engine counters diverged on replay";
     true
   in
   let test =
     QCheck.Test.make ~count:30
-      ~name:"pooled serving equals serial (reports, outcomes, counters)"
+      ~name:"serving replays identically (reports, outcomes, counters)"
       QCheck.(int_range 1 10_000)
       prop
   in
   QCheck.Test.check_exn test
-
-(* The engine must also survive being handed a pool while already
-   inside a parallel region (the verification pass runs serially
-   instead of raising). *)
-let test_engine_inside_parallel_region () =
-  let g, (a0, a1), (b0, b1) = hub_network () in
-  let reqs =
-    [
-      request ~duration:4. ~patience:10. 0 [ a0; a1 ] 0.;
-      request ~duration:4. ~patience:10. 1 [ b0; b1 ] 0.;
-    ]
-  in
-  let config = Engine.config ~retry_base:0.5 Policy.prim in
-  let base = Engine.run ~config g params ~requests:reqs in
-  Qnet_util.Pool.with_pool ~jobs:2 (fun pool ->
-      let inner = ref None in
-      Qnet_util.Pool.parallel_for pool 1 (fun _ ->
-          inner := Some (Engine.run ~config ~pool g params ~requests:reqs));
-      match !inner with
-      | Some got ->
-          check_bool "nested run equals serial" true (fst got = fst base)
-      | None -> Alcotest.fail "nested run never happened")
 
 (* ------------------------------------------------------------------ *)
 (* Pinned reports                                                      *)
@@ -918,9 +889,7 @@ let () =
         ] );
       ( "batched",
         [
-          Alcotest.test_case "matches serial (qcheck)" `Slow
-            test_batched_matches_serial_qcheck;
-          Alcotest.test_case "nested region falls back" `Quick
-            test_engine_inside_parallel_region;
+          Alcotest.test_case "replay identical (qcheck)" `Slow
+            test_batched_replay_qcheck;
         ] );
     ]

@@ -387,7 +387,7 @@ let test_overload_soak_qcheck () =
     in
     let reqs = Workload.generate (Prng.create seed) g spec in
     let overload = List.nth overload_settings (seed mod 5) in
-    let run pool =
+    let run () =
       (* Fresh tiered policy per run: its breakers and stats are
          stateful. *)
       let policy, tier_stats = Policy.tiered ~fuel:300 [ Policy.prim ] in
@@ -396,9 +396,9 @@ let test_overload_soak_qcheck () =
           ~budget:(if seed mod 2 = 0 then 500 else 4096)
           policy
       in
-      Engine.run ~config ?pool g params ~requests:reqs
+      Engine.run ~config g params ~requests:reqs
     in
-    let report, outcomes = run None in
+    let report, outcomes = run () in
     assert_never_oversubscribed g outcomes;
     (* A shed request must never also be served; resolutions partition
        the workload. *)
@@ -417,15 +417,11 @@ let test_overload_soak_qcheck () =
         check_bool "queue depth bounded" true
           (report.Engine.peak_queue_depth <= m)
     | None -> ());
-    (* Byte-identical determinism: a second run, and a pooled run,
-       must produce the same report and outcomes. *)
-    let report', outcomes' = run None in
+    (* Byte-identical determinism: a second run must produce the same
+       report and outcomes. *)
+    let report', outcomes' = run () in
     check_bool "identical across runs" true
       (report = report' && outcomes = outcomes');
-    Qnet_util.Pool.with_pool ~jobs:2 (fun pool ->
-        let report2, outcomes2 = run (Some pool) in
-        check_bool "identical across --jobs" true
-          (report = report2 && outcomes = outcomes2));
     true
   in
   let test =

@@ -10,7 +10,6 @@
 
 module Graph = Qnet_graph.Graph
 module Prng = Qnet_util.Prng
-module Pool = Qnet_util.Pool
 module Sexp = Qnet_util.Sexp
 module Model = Qnet_faults.Model
 module Workload = Qnet_online.Workload
@@ -550,11 +549,11 @@ let test_flash_compresses_arrivals () =
 (* ------------------------------------------------------------------ *)
 (* Crash-recovery drills                                               *)
 
-let drill_must_pass ?faults ?reconfig ?pool ~every g reqs =
+let drill_must_pass ?faults ?reconfig ~every g reqs =
   let overload = Qnet_overload.Admission.make ~max_queue:16 ~rate:1.5 () in
   let config = Engine.config ~overload Policy.prim in
   let d =
-    Drill.crash_restore ~config ?faults ?reconfig ?pool ~every g params
+    Drill.crash_restore ~config ?faults ?reconfig ~every g params
       ~requests:reqs
   in
   if not (Drill.passed d) then
@@ -588,25 +587,19 @@ let test_drill_under_faults_and_reconfig () =
   drill_must_pass ~faults ~reconfig ~every:8. g (generated 30 g)
 
 let prop_restore_any_instant =
-  QCheck.Test.make ~count:6 ~name:"restore at any instant, any jobs"
-    QCheck.(pair (int_range 0 10_000) (oneofl [ 1; 2; 4 ]))
-    (fun (seed, jobs) ->
+  QCheck.Test.make ~count:6 ~name:"restore at any instant"
+    QCheck.(int_range 0 10_000)
+    (fun seed ->
       let g = network (seed mod 97) in
       let reqs = generated (seed + 1) g in
       let faults =
         Model.make ~mtbf:50. ~mttr:7. ~targets:Model.Both ~seed:(seed + 2) ()
       in
-      let run pool =
-        let overload = Qnet_overload.Admission.make ~max_queue:12 ~rate:1. () in
-        let config = Engine.config ~overload Policy.prim in
-        let d =
-          Drill.crash_restore ~config ~faults ?pool ~every:13. g params
-            ~requests:reqs
-        in
-        Drill.passed d
-      in
-      if jobs = 1 then run None
-      else Pool.with_pool ~jobs (fun pool -> run (Some pool)))
+      let overload = Qnet_overload.Admission.make ~max_queue:12 ~rate:1. () in
+      let config = Engine.config ~overload Policy.prim in
+      Drill.passed
+        (Drill.crash_restore ~config ~faults ~every:13. g params
+           ~requests:reqs))
 
 (* ------------------------------------------------------------------ *)
 (* Binary wire codec                                                   *)
@@ -713,7 +706,7 @@ let with_tmp_dir f =
       try Sys.rmdir dir with Sys_error _ -> ())
     (fun () -> f dir)
 
-let file_drill_must_pass ?inject ?pool seed =
+let file_drill_must_pass ?inject seed =
   let g = network seed in
   let reqs = generated (seed + 1) g in
   let faults =
@@ -722,7 +715,7 @@ let file_drill_must_pass ?inject ?pool seed =
   let overload = Qnet_overload.Admission.make ~max_queue:14 ~rate:1.2 () in
   let config = Engine.config ~overload Policy.prim in
   let d =
-    Drill.crash_restore ~config ~faults ?inject ?pool ~every:8. g params
+    Drill.crash_restore ~config ~faults ?inject ~every:8. g params
       ~requests:reqs
   in
   if not (Drill.passed d) then Alcotest.fail (Format.asprintf "%a" Drill.pp d);
@@ -754,15 +747,11 @@ let test_chain_drill_bit_flip () =
     [ 3; 1009; 65537 ]
 
 let prop_files_restore_any_cut =
-  QCheck.Test.make ~count:4 ~name:"chain restore at any cut, any jobs level"
-    QCheck.(pair (int_range 0 10_000) (oneofl [ 1; 2; 4 ]))
-    (fun (seed, jobs) ->
-      let run pool =
-        ignore (file_drill_must_pass ?pool (seed mod 89));
-        true
-      in
-      if jobs = 1 then run None
-      else Pool.with_pool ~jobs (fun pool -> run (Some pool)))
+  QCheck.Test.make ~count:4 ~name:"chain restore at any cut"
+    QCheck.(int_range 0 10_000)
+    (fun seed ->
+      ignore (file_drill_must_pass (seed mod 89));
+      true)
 
 (* Snapshots a small faulty run cuts — once under a tier ladder,
    once under a cached policy (whose memo table travels as policy
