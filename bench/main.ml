@@ -130,8 +130,8 @@ let scenario ~seed ~requests ~rate =
   }
 
 let build s =
-  match Scenario.validate s with
-  | Ok s -> Scenario.build s
+  match Result.bind (Scenario.validate s) Scenario.build with
+  | Ok b -> b
   | Error m -> failwith ("bench scenario: " ^ m)
 
 (* Build and serve a scenario: the report. *)

@@ -132,6 +132,10 @@ let or_exit cmd = function
       Printf.eprintf "muerp %s: %s\n" cmd msg;
       exit 2
 
+(* A subcommand's own setting, outside any Scenario part. *)
+let check cmd flag cond reason =
+  if not cond then or_exit cmd (Error (flag ^ ": " ^ reason))
+
 let network_or_exit cmd network =
   Scenario.build_net (or_exit cmd (Scenario.validate_network network))
 
@@ -275,24 +279,30 @@ let solve_run verbose network load hier policy_name jobs metrics =
   if load <> None && network.Scenario.topology <> "waxman" then
     or_exit "solve" (Error "--load cannot be combined with --topology");
   let network = or_exit "solve" (Scenario.validate_network network) in
-  let graph =
-    Option.map
-      (fun path ->
+  let g, params, partition =
+    match load with
+    | None ->
+        let net = Scenario.build_net network in
+        (net.graph, net.params, net.partition)
+    | Some path -> (
         (* A missing, unreadable or malformed file is a file problem:
            exit 2 with the path in the message. *)
         match Qnet_graph.Codec.load_graph path with
-        | Ok g -> g
+        | Ok g ->
+            ( g,
+              Params.create ~alpha:network.alpha ~q:network.q (),
+              lazy
+                (Qnet_hier.Partition.kmeans
+                   ~regions:(Scenario.regions network) ~seed:network.seed g) )
         | Error msg -> prerr_endline msg; exit 2)
-      load
   in
-  let net = Scenario.build_net ?graph network in
-  let g = net.graph and params = net.params and seed = network.seed in
+  let seed = network.seed in
   Format.printf "%a, seed %d@." Graph.pp g seed;
   if hier then begin
     (* Hierarchical mode exists for networks where every flat method
        is too slow, so it solves with the hier oracle only instead of
        sweeping the whole method roster. *)
-    let part = Lazy.force net.partition in
+    let part = Lazy.force partition in
     Format.printf "partition: %a@." Qnet_hier.Partition.pp part;
     let oracle = Qnet_hier.Oracle.create g params part in
     let capacity = Capacity.of_graph g in
@@ -448,6 +458,7 @@ let topology_cmd =
 (* experiment                                                          *)
 
 let experiment_run figure replications jobs csv metrics =
+  check "experiment" "--replications" (replications >= 1) "must be >= 1";
   metrics_begin metrics;
   let cfg = Qnet_experiments.Config.create ~replications () in
   let module F = Qnet_experiments.Figures in
@@ -510,6 +521,7 @@ let experiment_cmd =
 let simulate_run network trials jobs metrics =
   metrics_begin metrics;
   let net = network_or_exit "simulate" network in
+  check "simulate" "--trials" (trials >= 1) "must be >= 1";
   let g = net.graph and params = net.params in
   let inst = Muerp.instance ~params g in
   let outcome = Muerp.solve Conflict_free inst in
@@ -547,55 +559,41 @@ let sweep_run seed parameter values replications jobs csv metrics =
   metrics_begin metrics;
   let module C = Qnet_experiments.Config in
   let module R = Qnet_experiments.Runner in
-  let create = C.create ~base_seed:seed in
-  let parse_values () =
-    String.split_on_char ',' values
-    |> List.filter (fun s -> String.trim s <> "")
-    |> List.map String.trim
+  (* Each value is a network setting, checked like the flag it
+     stands for. *)
+  let d = Scenario.default_network in
+  let num of_string update v =
+    match of_string (String.trim v) with
+    | Some x -> update x
+    | None ->
+        or_exit "sweep" (Error (Printf.sprintf "%s: bad value %S" parameter v))
   in
-  let configs =
+  let set =
     match parameter with
-    | "users" ->
-        List.map
-          (fun v ->
-            let n = int_of_string v in
-            ( v,
-              create
-                ~spec:(Spec.create ~n_users:n ())
-                ~replications () ))
-          (parse_values ())
-    | "switches" ->
-        List.map
-          (fun v ->
-            let n = int_of_string v in
-            (v, create ~spec:(Spec.create ~n_switches:n ()) ~replications ()))
-          (parse_values ())
-    | "degree" ->
-        List.map
-          (fun v ->
-            let d = float_of_string v in
-            (v, create ~spec:(Spec.create ~avg_degree:d ()) ~replications ()))
-          (parse_values ())
-    | "qubits" ->
-        List.map
-          (fun v ->
-            let n = int_of_string v in
-            ( v,
-              create
-                ~spec:(Spec.create ~qubits_per_switch:n ())
-                ~replications () ))
-          (parse_values ())
-    | "q" ->
-        List.map
-          (fun v ->
-            let q = float_of_string v in
-            (v, create ~params:(Params.create ~q ()) ~replications ()))
-          (parse_values ())
+    | "users" -> num int_of_string_opt (fun users -> { d with users })
+    | "switches" -> num int_of_string_opt (fun switches -> { d with switches })
+    | "degree" -> num float_of_string_opt (fun degree -> { d with degree })
+    | "qubits" -> num int_of_string_opt (fun qubits -> { d with qubits })
+    | "q" -> num float_of_string_opt (fun q -> { d with q })
     | other ->
         prerr_endline
           ("unknown parameter: " ^ other
          ^ " (expected users|switches|degree|qubits|q)");
         exit 1
+  in
+  check "sweep" "--replications" (replications >= 1) "must be >= 1";
+  let configs =
+    String.split_on_char ',' values
+    |> List.filter (fun v -> String.trim v <> "")
+    |> List.map (fun v ->
+           let n = or_exit "sweep" (Scenario.validate_network (set v)) in
+           ( String.trim v,
+             C.create ~base_seed:seed ~replications
+               ~spec:
+                 (Spec.create ~n_users:n.users ~n_switches:n.switches
+                    ~avg_degree:n.degree ~qubits_per_switch:n.qubits ())
+               ~params:(Params.create ~alpha:n.alpha ~q:n.q ())
+               () ))
   in
   let t =
     with_jobs jobs (fun pool ->
@@ -699,6 +697,9 @@ let svg_cmd =
 
 let fidelity_run network f0 threshold =
   let net = network_or_exit "fidelity" network in
+  check "fidelity" "--f0" (f0 >= 0. && f0 <= 1.) "must lie in [0, 1]";
+  check "fidelity" "--threshold" (threshold >= 0. && threshold <= 1.)
+    "must lie in [0, 1]";
   let g = net.graph and params = net.params in
   let config = { Fidelity.f0; threshold } in
   (match Fidelity.max_hops ~f0 ~threshold ~max_considered:64 with
@@ -742,8 +743,8 @@ let fidelity_cmd =
 (* groups                                                              *)
 
 let groups_run network n_groups group_size round_robin =
-  if n_groups < 1 || group_size < 1 then
-    or_exit "groups" (Error "--groups and --group-size must be >= 1");
+  check "groups" "--groups" (n_groups >= 1) "must be >= 1";
+  check "groups" "--group-size" (group_size >= 1) "must be >= 1";
   let net = network_or_exit "groups" network in
   let g = net.graph and params = net.params in
   let all_users = Graph.users g in
@@ -808,24 +809,21 @@ let groups_cmd =
 (* reference                                                           *)
 
 let reference_run seed name users qubits q alpha =
-  let net =
-    or_exit "reference"
-      (Scenario.validate_network
-         { Scenario.default_network with seed; users; qubits; q; alpha })
-  in
-  let net =
+  ignore
+    (or_exit "reference"
+       (Scenario.validate_network
+          { Scenario.default_network with seed; users; qubits; q; alpha }));
+  let g =
     match List.assoc_opt name Qnet_topology.Reference_nets.all with
     | None -> or_exit "reference" (Error ("unknown reference network: " ^ name))
     | Some topology -> (
         let rng = Qnet_util.Prng.create seed in
-        match
+        try
           Qnet_topology.Reference_nets.build rng topology ~n_users:users
             ~qubits_per_switch:qubits ~user_qubits:1_000_000
-        with
-        | g -> Scenario.build_net ~graph:g net
-        | exception Invalid_argument m -> or_exit "reference" (Error ("--users: " ^ m)))
+        with Invalid_argument m -> or_exit "reference" (Error ("--users: " ^ m)))
   in
-  let g = net.graph and params = net.params in
+  let params = Params.create ~alpha ~q () in
   Format.printf "%s: %a@." name Graph.pp g;
   List.iter
     (fun alg ->
@@ -854,6 +852,13 @@ let schedule_run verbose network n mean_gap max_group queue_slots metrics =
   apply_verbose verbose;
   metrics_begin metrics;
   let net = network_or_exit "schedule" network in
+  check "schedule" "--requests" (n >= 0) "must be >= 0";
+  check "schedule" "--gap" (Float.is_finite mean_gap && mean_gap >= 0.)
+    "must be a finite number >= 0";
+  check "schedule" "--max-group"
+    (max_group >= 2 && max_group <= network.users)
+    (Printf.sprintf "must lie in [2, --users %d]" network.users);
+  check "schedule" "--queue" (queue_slots >= 0) "must be >= 0";
   let g = net.graph and params = net.params in
   let rng = Qnet_util.Prng.create (network.seed + 77) in
   let requests =
@@ -1037,7 +1042,7 @@ let traffic_run verbose (scenario, reconfig_path) gap show_outcomes metrics =
   apply_verbose verbose;
   let s = or_exit "traffic" (Result.bind scenario Scenario.validate) in
   metrics_begin metrics;
-  let b = Scenario.build s in
+  let b = or_exit "traffic" (Scenario.build s) in
   let g = b.net.graph and params = b.net.params and d = s.durability in
   let config = b.config and faults = b.fault_model and reconfig = s.reconfig in
   Option.iter

@@ -426,8 +426,8 @@ val run :
     the continuation's report, outcomes and [online.*] counters are
     byte-identical to the uninterrupted run's.  A restored run with
     [checkpoint] resumes the original cadence.  Both require a policy
-    with {!Policy.t.checkpoint_safe} (memoising wrappers keep hidden
-    cache state a snapshot cannot carry).
+    with {!Policy.t.checkpoint_safe} ({!Policy.cached} over a policy
+    with its own state is not: the wrappers' states do not compose).
 
     [reconfig] applies live topology changes mid-run without draining
     traffic: leaves/removals recover affected leases through the

@@ -150,7 +150,7 @@ let finite x () =
 
 let some_unless_zero zero x = if x = zero then None else Some x
 
-let resolve_regions n =
+let regions n =
   if n.regions = 0 then Partition.auto_regions n.switches else n.regions
 
 let validate_network n =
@@ -187,7 +187,7 @@ let validate_network n =
                  --switches)"
                 ()
           | Some (Generate.Continent _) ->
-              let regions = resolve_regions n in
+              let regions = regions n in
               require (n.switches >= regions)
                 (Printf.sprintf
                    "continent needs a switch per region: --switches %d < %d \
@@ -218,17 +218,16 @@ type net = {
   partition : Partition.t Lazy.t;
 }
 
-let build_net ?graph n =
+let build_net n =
   let spec =
     Spec.create ~n_users:n.users ~n_switches:n.switches ~avg_degree:n.degree
       ~qubits_per_switch:n.qubits ()
   in
-  let regions = resolve_regions n in
+  let regions = regions n in
   let rng = Qnet_util.Prng.create n.seed in
   let graph, labels =
-    match (graph, Generate.of_name n.topology) with
-    | Some g, _ -> (g, None)
-    | None, Some (Generate.Continent params) ->
+    match Generate.of_name n.topology with
+    | Some (Generate.Continent params) ->
         (* The continent generator's tiles are an exact partition, so
            hierarchical routing gets it for free. *)
         let g, labels =
@@ -236,8 +235,8 @@ let build_net ?graph n =
             ~params:{ params with regions } rng spec
         in
         (g, Some labels)
-    | None, Some kind -> (Generate.run kind rng spec, None)
-    | None, None -> invalid_arg ("Scenario.build_net: topology " ^ n.topology)
+    | Some kind -> (Generate.run kind rng spec, None)
+    | None -> invalid_arg ("Scenario.build_net: topology " ^ n.topology)
   in
   let partition =
     lazy
@@ -341,17 +340,17 @@ let validate t =
               || d.journal <> None))
           "cannot be combined with --checkpoint-every, --restore, --halt-at \
            or --journal" );
-      (* A memo table is state a cut cannot carry. *)
+      (* A cut carries a memo table through the cached policy's own
+         snapshot hooks, but not through the tiered wrapper (whose
+         snapshot leaves its tiers' tables out) nor over the
+         hierarchical policy (whose state the wrapper cannot compose). *)
       ( "--cache",
         require
-          (not (p.cache && (checkpoints || d.restore <> None || d.drill > 0.)))
-          "cannot be combined with --checkpoint-every, --restore or --drill" );
-      ( "--reconfig",
-        fun () ->
-          if t.reconfig <> [] then
-            match Reconfig.validate (build_net n).graph t.reconfig with
-            | Ok () -> ()
-            | Error m -> invalid_arg m );
+          (not
+             (p.cache && (p.hier || p.tiers <> None)
+             && (checkpoints || d.restore <> None || d.drill > 0.)))
+          "with --hier or --tiers, cannot be combined with \
+           --checkpoint-every, --restore or --drill" );
     ]
     t
 
@@ -392,6 +391,25 @@ let build t =
   let n = t.network and p = t.policy and o = t.overload and f = t.faults in
   let net = build_net n in
   let g = net.graph in
+  let requests =
+    Workload.generate (Qnet_util.Prng.create (n.seed + 8_191)) g t.workload
+  in
+  (* What only the generated instance shows: events naming elements
+     this graph lacks, and an arrival stream that overflows. *)
+  let ( let* ) = Result.bind in
+  let* () =
+    Result.map_error (( ^ ) "--reconfig: ") (Reconfig.validate g t.reconfig)
+  in
+  let* () =
+    match
+      List.find_opt (fun r -> not (Float.is_finite r.Workload.arrival)) requests
+    with
+    | Some r ->
+        Error
+          (Printf.sprintf "--arrival: request %d would arrive at t=%g"
+             r.Workload.id r.Workload.arrival)
+    | None -> Ok ()
+  in
   let oracle =
     if p.hier then
       Some (Qnet_hier.Oracle.create g net.params (Lazy.force net.partition))
@@ -436,14 +454,12 @@ let build t =
            ~regional_radius:f.radius ~seed:(n.seed + 40_961) ())
     else None
   in
-  let requests =
-    Workload.generate (Qnet_util.Prng.create (n.seed + 8_191)) g t.workload
-  in
-  {
-    net;
-    requests;
-    oracle;
-    config;
-    fault_model;
-    fingerprint = fingerprint t net policy;
-  }
+  Ok
+    {
+      net;
+      requests;
+      oracle;
+      config;
+      fault_model;
+      fingerprint = fingerprint t net policy;
+    }

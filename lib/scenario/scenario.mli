@@ -100,11 +100,9 @@ val validate : t -> (t, string) result
 (** Total: every setting checked by the constructor that owns it
     ({!Qnet_online.Workload.spec}, {!Qnet_online.Engine.config},
     {!Qnet_overload.Admission.make}, {!Qnet_faults.Model.make},
-    {!Qnet_online.Reconfig.validate}, ...) plus the cross-setting
-    rules no constructor can see, each reported as
-    [Error "--flag: reason"].  A non-empty [reconfig] list is checked
-    against the generated network, so validating one generates the
-    graph once. *)
+    ...) plus the cross-setting rules no constructor can see, each
+    reported as [Error "--flag: reason"].  Generates nothing: what
+    only the generated instance can show is {!build}'s to check. *)
 
 (** A built network. *)
 type net = {
@@ -116,9 +114,11 @@ type net = {
           tiles, k-means regions otherwise. *)
 }
 
-val build_net : ?graph:Qnet_graph.Graph.t -> network -> net
-(** The network of a {!validate_network}ed description, or [graph]
-    (a loaded network) under its physics and region settings.  Raises
+val regions : network -> int
+(** The region count, 0 resolved by {!Qnet_hier.Partition.auto_regions}. *)
+
+val build_net : network -> net
+(** The network of a {!validate_network}ed description.  Raises
     nothing on validated input. *)
 
 type built = {
@@ -133,8 +133,11 @@ type built = {
           fingerprint, so this format is frozen. *)
 }
 
-val build : t -> built
-(** Build a {!validate}d scenario.  Raises nothing on validated input.
-    The workload stream is seeded [seed + 8_191] and the fault stream
+val build : t -> (built, string) result
+(** Build a {!validate}d scenario, or [Error "--flag: reason"] when
+    the generated instance refutes a setting: a [reconfig] event that
+    names an element the graph lacks ({!Qnet_online.Reconfig.validate}),
+    or an arrival stream whose times overflow to infinity.  Raises
+    nothing on validated input.  The workload stream is seeded [seed + 8_191] and the fault stream
     [seed + 40_961], both off the network seed.  A [flow] policy must
     be registered first ({!Qnet_flow.Serve.register}). *)

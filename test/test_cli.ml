@@ -208,8 +208,9 @@ let check_rejected args flag =
   check_bool (args ^ ": no internal error") false
     (contains err "internal error" || contains err "uncaught exception")
 
-(* The network flags every network subcommand shares: each value used
-   to crash with an uncaught Invalid_argument. *)
+(* The network flags every network subcommand shares, and the settings
+   a single subcommand owns: each value used to crash with an uncaught
+   Invalid_argument, or (schedule --gap) to run on NaN. *)
 let test_bad_network_flags () =
   List.iter
     (fun (cmd, flags) ->
@@ -222,6 +223,13 @@ let test_bad_network_flags () =
       ( "traffic",
         [ ("-q 2", "--swap-rate"); ("--alpha=-1", "--alpha");
           ("--degree=nan", "--degree"); ("--qubits=-1", "--qubits") ] );
+      ( "sweep",
+        [ ("users abc", "users"); ("q 2 -r 1", "--swap-rate");
+          ("qubits 2 -r 0", "--replications") ] );
+      ("schedule", [ ("--max-group 1", "--max-group"); ("--gap nan", "--gap") ]);
+      ("fidelity", [ ("--f0 nan", "--f0"); ("--threshold 2", "--threshold") ]);
+      ("simulate", [ ("--trials 0", "--trials") ]);
+      ("experiment", [ ("fig5 -r 0", "--replications") ]);
     ]
 
 (* Values that used to run silently as "off" (a negative or NaN
@@ -247,6 +255,11 @@ let hostile_traffic =
     ("--arrival=pareto:x", "--arrival");
     ("--group=uniform:5:2", "--group");
     ("--duration-min=nan", "--duration-min");
+    (* Settings no constructor refuses, whose arrival stream overflows. *)
+    ("--arrival=batch:1:1e308", "--arrival");
+    ("--arrival=poisson:1e-320", "--arrival");
+    ("--hier --cache --checkpoint-every 3", "--cache");
+    ("--tiers prim --cache --drill 3", "--cache");
   ]
 
 let test_hostile_values () =
@@ -282,6 +295,40 @@ let with_halted_run f =
       check_int "halted run exit 0" 0 code;
       check_bool "halted" true (contains out "halted at checkpoint");
       f ~flags ~ckpt ~journal)
+
+(* A cached policy's memo table travels in the cut: a run halted under
+   --cache resumes to the uninterrupted run's output, plus the line
+   naming the cut. *)
+let test_cached_restore () =
+  let ckpt = Filename.temp_file "cli_cached" ".ckpt" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun f -> if Sys.file_exists f then Sys.remove f)
+        [ ckpt; ckpt ^ ".prev" ])
+    (fun () ->
+      let flags = "traffic --cache --seed 5 -n 30" in
+      let code, full = run_stdout flags in
+      check_int "full run exit 0" 0 code;
+      let code, _ =
+        run_stdout
+          (Printf.sprintf "%s --checkpoint-every 3 --halt-at 9 --checkpoint %s"
+             flags (Filename.quote ckpt))
+      in
+      check_int "halted run exit 0" 0 code;
+      let code, restored =
+        run_stdout (Printf.sprintf "%s --restore %s" flags (Filename.quote ckpt))
+      in
+      check_int "restored run exit 0" 0 code;
+      let without_restore_line out =
+        String.split_on_char '\n' out
+        |> List.filter (fun l -> not (String.starts_with ~prefix:"restored from" l))
+        |> String.concat "\n"
+      in
+      check_bool "restored says so" true (contains restored "restored from");
+      Alcotest.(check string)
+        "restored output equals the full run" full
+        (without_restore_line restored))
 
 let test_inspect_cut () =
   with_halted_run (fun ~flags:_ ~ckpt ~journal:_ ->
@@ -410,6 +457,7 @@ let () =
           Alcotest.test_case "bad arguments" `Quick test_bad_arguments;
           Alcotest.test_case "bad network flags" `Quick test_bad_network_flags;
           Alcotest.test_case "hostile values" `Quick test_hostile_values;
+          Alcotest.test_case "cached restore" `Quick test_cached_restore;
           Alcotest.test_case "inspect cut" `Quick test_inspect_cut;
           Alcotest.test_case "pinned fingerprint" `Quick
             test_pinned_fingerprint;

@@ -1,7 +1,8 @@
 (* Tests for qnet_scenario: validation is total, and a validated
-   scenario always builds.  Independent of the CLI: records are drawn
-   directly, each field either at its default or at a hostile value —
-   floats from {nan, +-inf, -1, 0, small positive}, ints from
+   scenario always builds, into requests the engine accepts or into an
+   [Error].  Independent of the CLI: records are drawn directly, each
+   field either at its default or at a hostile value — floats from
+   {nan, +-inf, -1, 0, small positive, subnormal, huge}, ints from
    {-5, 0, 1, 3}. *)
 
 module Scenario = Qnet_scenario.Scenario
@@ -12,7 +13,8 @@ module Gen = QCheck.Gen
 let hostile_float =
   Gen.oneof
     [
-      Gen.oneofl [ Float.nan; Float.infinity; Float.neg_infinity; -1.; 0. ];
+      Gen.oneofl
+        [ Float.nan; Float.infinity; Float.neg_infinity; -1.; 0.; 1e-320; 1e308 ];
       Gen.float_range 0.01 4.;
     ]
 
@@ -161,10 +163,18 @@ let prop_total =
     (fun s ->
       match Scenario.validate s with
       | Error _ -> true
-      | Ok s ->
+      | Ok s -> (
           incr validated;
-          ignore (Scenario.build s);
-          true)
+          match Scenario.build s with
+          | Error _ -> true
+          | Ok b ->
+              (* The engine's own input checks, on what it will see. *)
+              List.for_all
+                (fun (r : Workload.request) ->
+                  Float.is_finite r.arrival && r.arrival >= 0.
+                  && Float.is_finite r.duration && r.duration > 0.
+                  && r.deadline >= r.arrival)
+                b.requests))
 
 let test_total () =
   QCheck.Test.check_exn prop_total;
@@ -175,10 +185,54 @@ let test_default_builds () =
   match Scenario.validate Scenario.default with
   | Error m -> Alcotest.fail m
   | Ok s ->
-      let b = Scenario.build s in
+      let b = Result.get_ok (Scenario.build s) in
       Alcotest.(check int)
         "default workload size" Scenario.default.workload.requests
         (List.length b.requests)
+
+let error_names flag = function
+  | Ok _ -> Alcotest.failf "expected an error naming %s" flag
+  | Error m ->
+      Alcotest.(check bool) (m ^ " names " ^ flag) true
+        (String.starts_with ~prefix:(flag ^ ":") m)
+
+(* What only the generated instance shows is [build]'s error. *)
+let test_instance_errors () =
+  let d = Scenario.default in
+  let overflowing =
+    {
+      d with
+      workload =
+        {
+          d.workload with
+          requests = 3;
+          arrivals = Workload.Batched { size = 1; period = 1e308 };
+        };
+    }
+  in
+  error_names "--arrival" (Result.bind (Scenario.validate overflowing) Scenario.build);
+  let unknown_switch =
+    { d with reconfig = [ { Reconfig.time = 1.; change = Reconfig.Switch_leave 10_000 } ] }
+  in
+  error_names "--reconfig"
+    (Result.bind (Scenario.validate unknown_switch) Scenario.build)
+
+(* --cache cuts cleanly over a flat policy, not under --hier or --tiers. *)
+let test_cache_with_cuts () =
+  let d = Scenario.default in
+  let cut policy =
+    {
+      d with
+      policy;
+      durability = { d.durability with checkpoint_every = 3. };
+    }
+  in
+  let cached = { d.policy with cache = true } in
+  Alcotest.(check bool) "flat --cache cuts" true
+    (Result.is_ok (Scenario.validate (cut cached)));
+  error_names "--cache" (Scenario.validate (cut { cached with hier = true }));
+  error_names "--cache"
+    (Scenario.validate (cut { cached with tiers = Some "alg3,prim" }))
 
 let () =
   Qnet_flow.Serve.register ();
@@ -187,6 +241,8 @@ let () =
       ( "validate",
         [
           Alcotest.test_case "default builds" `Quick test_default_builds;
+          Alcotest.test_case "instance errors" `Quick test_instance_errors;
+          Alcotest.test_case "cache with cuts" `Quick test_cache_with_cuts;
           Alcotest.test_case "total (qcheck)" `Slow test_total;
         ] );
     ]
