@@ -198,6 +198,16 @@ let test_pinned_traffic () =
         (Digest.to_hex (Digest.string out)))
     pinned_traffic
 
+(* The MD5 of [muerp experiment all -r 3] stdout: every paper figure
+   and table at three replications.  Offline Algorithm 4 and the other
+   solvers must keep these reports byte for byte. *)
+let test_pinned_experiment () =
+  let code, out = run_stdout "experiment all -r 3" in
+  check_int "experiment all exit 0" 0 code;
+  Alcotest.(check string)
+    "experiment all stdout digest" "806ab53fc9c47cc2ef8309e41722ae66"
+    (Digest.to_hex (Digest.string out))
+
 (* A bad setting exits 2 with a one-line message naming its flag,
    before anything reaches stdout — never an uncaught exception. *)
 let check_rejected args flag =
@@ -462,6 +472,7 @@ let () =
           Alcotest.test_case "pinned fingerprint" `Quick
             test_pinned_fingerprint;
           Alcotest.test_case "pinned traffic" `Quick test_pinned_traffic;
+          Alcotest.test_case "pinned experiment" `Quick test_pinned_experiment;
           Alcotest.test_case "inspect journal" `Quick test_inspect_journal;
           Alcotest.test_case "inspect other" `Quick test_inspect_other;
           Alcotest.test_case "restore corrupt body" `Quick
