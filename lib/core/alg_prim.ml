@@ -2,8 +2,6 @@ module Graph = Qnet_graph.Graph
 module Logprob = Qnet_util.Logprob
 module Prng = Qnet_util.Prng
 
-let c_rounds = Qnet_telemetry.Metrics.counter "core.alg4.grow_rounds"
-
 let solve ?start ?rng ?budget g params =
   let users = Graph.users g in
   match users with
@@ -21,36 +19,19 @@ let solve ?start ?rng ?budget g params =
       let capacity = Capacity.of_graph g in
       let inside = Hashtbl.create (List.length users) in
       Hashtbl.replace inside start ();
-      let outside u = not (Hashtbl.mem inside u) in
-      let remaining = ref (List.length users - 1) in
-      let rec grow acc =
-        if !remaining = 0 then Some (Ent_tree.of_channels (List.rev acc))
-        else begin
-          Qnet_telemetry.Metrics.Counter.incr c_rounds;
-          let best = ref None in
-          let consider (c : Channel.t) =
-            match !best with
-            | Some (b : Channel.t) when Logprob.compare_desc b.rate c.rate <= 0
-              ->
-                ()
-            | _ -> best := Some c
-          in
-          Hashtbl.iter
-            (fun src () ->
-              Routing.best_channels_from ?budget g params ~capacity ~src
-              |> List.iter (fun (dst, c) -> if outside dst then consider c))
-            inside;
-          match !best with
-          | None -> None
-          | Some c ->
-              if Logprob.is_impossible c.rate then None
-              else begin
+      let rec grow acc = function
+        | [] -> Some (Ent_tree.of_channels (List.rev acc))
+        | outside_users -> (
+            match
+              Multi_group.best_attachment ?budget g params ~capacity ~inside
+                ~outside_users
+            with
+            | None -> None
+            | Some c when Logprob.is_impossible c.rate -> None
+            | Some c ->
                 Capacity.consume_channel capacity c.path;
-                let fresh = if outside c.src then c.src else c.dst in
+                let fresh = if Hashtbl.mem inside c.src then c.dst else c.src in
                 Hashtbl.replace inside fresh ();
-                decr remaining;
-                grow (c :: acc)
-              end
-        end
+                grow (c :: acc) (List.filter (( <> ) fresh) outside_users))
       in
-      grow []
+      grow [] (List.filter (( <> ) start) users)

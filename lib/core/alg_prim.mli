@@ -4,9 +4,11 @@
     user, it grows the entangled set one user per round, each time
     attaching the maximum-rate capacity-feasible channel from any
     already-entangled user to any outside user, and deducting the
-    channel's qubits.  After [|U| − 1] successful rounds every user is
-    entangled; if some round finds no feasible channel the instance is
-    declared infeasible ([None]). *)
+    channel's qubits — each round is one {!Multi_group.best_attachment},
+    the same step the online policies grow trees with.  After
+    [|U| − 1] successful rounds every user is entangled; if some round
+    finds no feasible channel the instance is declared infeasible
+    ([None]). *)
 
 val solve :
   ?start:int ->

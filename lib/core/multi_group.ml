@@ -1,6 +1,8 @@
 module Graph = Qnet_graph.Graph
 module Logprob = Qnet_util.Logprob
 
+let c_rounds = Qnet_telemetry.Metrics.counter "core.alg4.grow_rounds"
+
 type strategy = Sequential | Round_robin
 
 type group_result = {
@@ -33,13 +35,17 @@ let validate_groups g groups =
         group)
     groups
 
-(* One best channel from the grown set to an outside user of the group,
-   under the shared residual capacity.  With an [oracle] the enumeration
-   becomes per-pair point queries (the oracle is expected to make each
-   query cheap — e.g. hierarchically); without one it keeps the paper's
-   one-SSSP-per-inside-user enumeration. *)
+(* One grow step of Algorithm 4: the maximum-rate channel from the grown
+   set [inside] to any user of [outside_users], under the shared residual
+   capacity.  Without an [oracle] that is one multi-source search in
+   which all inside users start at distance 0 and the search stops once
+   every outside user has settled ([Routing.best_channels_between]); the
+   best of the per-target channels wins.  With an [oracle] the step
+   becomes per-pair point queries, which the oracle is expected to make
+   cheap — e.g. hierarchically.  Ties keep the first candidate seen. *)
 let best_attachment ?exclude ?budget ?oracle g params ~capacity ~inside
     ~outside_users =
+  Qnet_telemetry.Metrics.Counter.incr c_rounds;
   let best = ref None in
   let consider (c : Channel.t) =
     match !best with
@@ -59,12 +65,10 @@ let best_attachment ?exclude ?budget ?oracle g params ~capacity ~inside
             outside_users)
         inside
   | None ->
-      Hashtbl.iter
-        (fun src () ->
-          Routing.best_channels_from ?exclude ?budget g params ~capacity ~src
-          |> List.iter (fun (dst, (c : Channel.t)) ->
-                 if List.mem dst outside_users then consider c))
-        inside);
+      Routing.best_channels_between ?exclude ?budget g params ~capacity
+        ~sources:(List.of_seq (Hashtbl.to_seq_keys inside))
+        ~targets:outside_users
+      |> List.iter (fun (_, c) -> consider c));
   !best
 
 let prim_for_users ?exclude ?budget ?oracle g params ~capacity ~users =

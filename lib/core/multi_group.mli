@@ -50,6 +50,26 @@ val solve :
     @raise Invalid_argument on empty/overlapping groups or non-user
     members. *)
 
+val best_attachment :
+  ?exclude:Routing.exclusion ->
+  ?budget:Qnet_overload.Budget.t ->
+  ?oracle:Routing.channel_oracle ->
+  Qnet_graph.Graph.t ->
+  Params.t ->
+  capacity:Capacity.t ->
+  inside:(int, unit) Hashtbl.t ->
+  outside_users:int list ->
+  Channel.t option
+(** One grow round of Algorithm 4: the maximum-rate capacity-feasible
+    channel from any user of the grown set [inside] to any user of
+    [outside_users] (by {!Qnet_util.Logprob.compare_desc}; ties keep
+    the first candidate seen), or [None] if there is none.  Nothing is
+    consumed from [capacity].  Without an [oracle] this is one
+    multi-source search ({!Routing.best_channels_between}); with one it
+    is a point query per inside/outside pair.  [exclude] and [budget]
+    are as in {!prim_for_users}.  Ticks [core.alg4.grow_rounds].
+    @raise Qnet_overload.Budget.Exhausted when the fuel runs out. *)
+
 val prim_for_users :
   ?exclude:Routing.exclusion ->
   ?budget:Qnet_overload.Budget.t ->
@@ -67,7 +87,7 @@ val prim_for_users :
     on {!Qnet_overload.Budget.Exhausted} any channels already consumed
     from [capacity] are released before the exception propagates, so a
     fuel-starved call leaves shared capacity exactly as it found it.
-    [oracle] replaces the flat per-source channel enumeration with
-    point queries (see {!Routing.channel_oracle}) — how the
+    Each grow round is one {!best_attachment}.  [oracle] replaces the flat multi-source
+    search with point queries (see {!Routing.channel_oracle}) — how the
     hierarchical router drops in under Algorithm 4 without this module
     knowing about regions.  Exposed for reuse and testing. *)

@@ -21,7 +21,7 @@ let constrained_path g params ~capacity ~src ~dst ~banned_edges
   let expand v = Graph.is_switch g v in
   let result = Paths.dijkstra g ~source:src ~weight ~admit ~expand () in
   if result.Paths.dist.(dst) = infinity then None
-  else Paths.extract_path result ~source:src ~target:dst
+  else Paths.extract_path result ~target:dst
 
 (* q = 0 degenerates to "direct fiber or nothing" (cf. Routing), so the
    k-best list has at most one element. *)

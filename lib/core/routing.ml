@@ -42,7 +42,7 @@ let direct_only g params ~exclude ~src =
       else None)
     (Graph.neighbors g src)
 
-let sssp ?target ?budget g params ~capacity ~exclude ~src =
+let sssp ?targets ?budget g params ~capacity ~exclude ~src =
   Tm.Counter.incr c_sssp_runs;
   let admit v =
     exclude.vertex_ok v
@@ -50,10 +50,10 @@ let sssp ?target ?budget g params ~capacity ~exclude ~src =
   in
   let expand v = Graph.is_switch g v in
   Paths.dijkstra g ~source:src ~weight:(edge_weight params) ~admit ~expand
-    ~edge_ok:exclude.edge_ok ?target ?budget ()
+    ~edge_ok:exclude.edge_ok ?targets ?budget ()
 
-let channel_from_result g params result ~src ~dst =
-  match Paths.extract_path result ~source:src ~target:dst with
+let channel_from_result g params result ~dst =
+  match Paths.extract_path result ~target:dst with
   | None -> None
   | Some path -> begin
       match Channel.make g params path with
@@ -74,8 +74,8 @@ let best_channel ?(exclude = no_exclusion) ?budget g params ~capacity ~src ~dst
     (* A point query: let Dijkstra stop once [dst] settles instead of
        settling the whole graph. *)
     channel_from_result g params
-      (sssp ~target:dst ?budget g params ~capacity ~exclude ~src)
-      ~src ~dst
+      (sssp ~targets:[ dst ] ?budget g params ~capacity ~exclude ~src)
+      ~dst
 
 let best_channels_from ?(exclude = no_exclusion) ?budget g params ~capacity
     ~src =
@@ -89,10 +89,48 @@ let best_channels_from ?(exclude = no_exclusion) ?budget g params ~capacity
     |> List.filter_map (fun u ->
            if u = src then None
            else
-             match channel_from_result g params result ~src ~dst:u with
+             match channel_from_result g params result ~dst:u with
              | None -> None
              | Some c -> Some (u, c))
   end
+
+let best_channels_between ?(exclude = no_exclusion) ?budget g params
+    ~capacity ~sources ~targets =
+  List.iter (check_user g) sources;
+  List.iter (check_user g) targets;
+  if List.exists (fun t -> List.mem t sources) targets then
+    invalid_arg "Routing.best_channels_between: sources and targets overlap";
+  Tm.Counter.incr c_enumerations;
+  match sources with
+  | [] -> []
+  | _ when params.Params.q = 0. ->
+      List.concat_map
+        (fun src ->
+          List.sort compare (direct_only g params ~exclude ~src)
+          |> List.filter (fun (v, _) -> List.mem v targets))
+        sources
+  | source :: more ->
+      Tm.Counter.incr c_sssp_runs;
+      (* Only switches relay; of the users, only targets may be entered,
+         and only as endpoints. *)
+      let admit v =
+        exclude.vertex_ok v
+        &&
+        if Graph.is_user g v then List.mem v targets
+        else Capacity.can_relay capacity v
+      in
+      let result =
+        Paths.dijkstra g ~source ~sources:more ~weight:(edge_weight params)
+          ~admit
+          ~expand:(Graph.is_switch g)
+          ~edge_ok:exclude.edge_ok ~targets ?budget ()
+      in
+      List.filter_map
+        (fun t ->
+          Option.map
+            (fun c -> (t, c))
+            (channel_from_result g params result ~dst:t))
+        targets
 
 type channel_oracle =
   exclude:exclusion ->

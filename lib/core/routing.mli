@@ -64,6 +64,28 @@ val best_channels_from :
     order — the paper's optimisation that drops the all-pairs phase of
     Algorithm 2 from [|U|²] to [|U|] Dijkstra runs. *)
 
+val best_channels_between :
+  ?exclude:exclusion ->
+  ?budget:Qnet_overload.Budget.t ->
+  Qnet_graph.Graph.t ->
+  Params.t ->
+  capacity:Capacity.t ->
+  sources:int list ->
+  targets:int list ->
+  (int * Channel.t) list
+(** Set-to-set channels for a Prim grow step: one multi-source Dijkstra
+    in which every user of [sources] starts at distance 0, only
+    switches relay, and of the users only [targets] may be entered (as
+    endpoints).  The run stops once every target has settled.  The
+    result lists, in [targets] order, each reachable target with its
+    best channel from the nearest source — so the maximum-rate channel
+    between the two sets is among them — and a channel is built for
+    targets only.  With [q = 0.] the candidates are the direct fibers,
+    source by source as in {!best_channels_from}.  Counts one
+    enumeration and at most one SSSP run.
+    @raise Invalid_argument if an endpoint is not a user or the two
+    sets overlap. *)
+
 type channel_oracle =
   exclude:exclusion ->
   budget:Qnet_overload.Budget.t option ->

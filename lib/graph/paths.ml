@@ -30,13 +30,21 @@ let with_scratch_heap n f =
       let heap = Binary_heap.create ~capacity:(n + 1) () in
       Fun.protect ~finally:(fun () -> cell := Some heap) (fun () -> f heap)
 
-let dijkstra g ~source ~weight ?(admit = fun _ -> true)
-    ?(expand = fun _ -> true) ?(edge_ok = fun _ -> true) ?target ?budget () =
+(* Per-vertex search state in [dijkstra]: one byte each, so a run
+   allocates n bytes of marks rather than an n-word bool array. *)
+let open_ = '\000'
+let open_target = '\001'
+let settled = '\002'
+
+let dijkstra g ~source ?(sources = []) ~weight ?(admit = fun _ -> true)
+    ?(expand = fun _ -> true) ?(edge_ok = fun _ -> true) ?(targets = [])
+    ?budget () =
   let n = Graph.vertex_count g in
-  if source < 0 || source >= n then invalid_arg "Paths.dijkstra: bad source";
-  (match target with
-  | Some t when t < 0 || t >= n -> invalid_arg "Paths.dijkstra: bad target"
-  | _ -> ());
+  let in_range v = v >= 0 && v < n in
+  if not (in_range source && List.for_all in_range sources) then
+    invalid_arg "Paths.dijkstra: bad source";
+  if not (List.for_all in_range targets) then
+    invalid_arg "Paths.dijkstra: bad target";
   (* Bind the fuel charge once so the unbudgeted hot path stays a
      single closure call away from free. *)
   let charge =
@@ -47,13 +55,28 @@ let dijkstra g ~source ~weight ?(admit = fun _ -> true)
   Tm.Counter.incr c_runs;
   let dist = Array.make n infinity in
   let prev = Array.make n (-1) in
-  let done_ = Array.make n false in
+  let state = Bytes.make n open_ in
+  (* Targets still to settle; the run stops when this reaches zero.
+     Without targets it never does, and the whole graph settles. *)
+  let pending = ref 0 in
+  List.iter
+    (fun t ->
+      if Bytes.get state t = open_ then begin
+        Bytes.set state t open_target;
+        incr pending
+      end)
+    targets;
   let off = Graph.csr_offsets g and pairs = Graph.csr_pairs g in
-  let target = match target with Some t -> t | None -> -1 in
   with_scratch_heap n (fun heap ->
-      dist.(source) <- 0.;
-      Binary_heap.push heap 0. source;
-      Tm.Counter.incr c_pushes;
+      let start s =
+        if dist.(s) > 0. then begin
+          dist.(s) <- 0.;
+          Binary_heap.push heap 0. s;
+          Tm.Counter.incr c_pushes
+        end
+      in
+      start source;
+      List.iter start sources;
       let running = ref true in
       while !running do
         match Binary_heap.pop_min heap with
@@ -61,18 +84,23 @@ let dijkstra g ~source ~weight ?(admit = fun _ -> true)
         | Some (d, u) ->
             charge ();
             Tm.Counter.incr c_pops;
-            if not done_.(u) && d <= dist.(u) then begin
-              done_.(u) <- true;
-              (* The popped distance is final, so the target's settling
-                 ends the s-t query — no need to drain the frontier. *)
-              if u = target then running := false
-              else if u = source || expand u then
+            let mark = Bytes.get state u in
+            if mark <> settled && d <= dist.(u) then begin
+              Bytes.set state u settled;
+              (* The popped distance is final, so the last target's
+                 settling ends the query — no need to drain the
+                 frontier.  Sources (no predecessor) always expand. *)
+              if mark = open_target then begin
+                decr pending;
+                if !pending = 0 then running := false
+              end;
+              if !running && (prev.(u) < 0 || expand u) then
                 for k = off.(u) to off.(u + 1) - 1 do
                   let v = pairs.(2 * k) in
                   Tm.Counter.incr c_relaxations;
                   if
-                    (not done_.(v))
-                    && (v = source || admit v)
+                    Bytes.get state v <> settled
+                    && admit v
                     && edge_ok pairs.((2 * k) + 1)
                   then begin
                     let e = Graph.edge g pairs.((2 * k) + 1) in
@@ -93,20 +121,21 @@ let dijkstra g ~source ~weight ?(admit = fun _ -> true)
       done);
   { dist; prev }
 
-let extract_path { dist; prev } ~source ~target =
+let extract_path { dist; prev } ~target =
   if dist.(target) = infinity then None
   else begin
     let rec walk v acc =
-      if v = source then v :: acc else walk prev.(v) (v :: acc)
+      if prev.(v) < 0 then v :: acc else walk prev.(v) (v :: acc)
     in
     Some (walk target [])
   end
 
 let shortest_path g ~source ~target ~weight ?admit ?expand ?edge_ok ?budget () =
   let result =
-    dijkstra g ~source ~weight ?admit ?expand ?edge_ok ~target ?budget ()
+    dijkstra g ~source ~weight ?admit ?expand ?edge_ok ~targets:[ target ]
+      ?budget ()
   in
-  match extract_path result ~source ~target with
+  match extract_path result ~target with
   | None -> None
   | Some path -> Some (path, result.dist.(target))
 

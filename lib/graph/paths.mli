@@ -8,53 +8,63 @@
 
 type dijkstra_result = {
   dist : float array;  (** [dist.(v)] is the shortest distance from the
-                           source, or [infinity] if unreachable. *)
+                           nearest source, or [infinity] if unreachable. *)
   prev : int array;  (** Predecessor vertex on a shortest path, [-1] at
-                         the source and for unreachable vertices. *)
+                         the sources and for unreachable vertices. *)
 }
 
 val dijkstra :
   Graph.t ->
   source:int ->
+  ?sources:int list ->
   weight:(Graph.edge -> float) ->
   ?admit:(int -> bool) ->
   ?expand:(int -> bool) ->
   ?edge_ok:(int -> bool) ->
-  ?target:int ->
+  ?targets:int list ->
   ?budget:Qnet_overload.Budget.t ->
   unit ->
   dijkstra_result
 (** [dijkstra g ~source ~weight ()] runs single-source shortest paths.
-    [admit v] (default: always [true]) controls whether a non-source
-    vertex may be {e entered} during relaxation; inadmissible vertices
-    keep [dist = infinity].  [expand v] (default: always [true])
-    controls whether a settled non-source vertex relaxes its own
-    neighbours — with [expand] false a vertex can terminate paths but
-    not relay them, which is how quantum users are kept out of channel
-    interiors.  The source is always expanded.  [edge_ok eid] (default:
-    always [true]) filters individual edges out of relaxation — the
-    hook fault-aware routing uses to exclude failed fibers without
+    [sources] (default none) adds further zero-distance sources: the
+    run then computes, for every vertex, the distance from the nearest
+    of [source :: sources] — one multi-source search instead of one
+    search per source.  [admit v] (default: always [true]) controls
+    whether a non-source vertex may be {e entered} during relaxation;
+    inadmissible vertices keep [dist = infinity].  [expand v] (default:
+    always [true]) controls whether a settled non-source vertex relaxes
+    its own neighbours — with [expand] false a vertex can terminate
+    paths but not relay them, which is how quantum users are kept out
+    of channel interiors.  Sources are always expanded.  [edge_ok eid]
+    (default: always [true]) filters individual edges out of relaxation
+    — the hook fault-aware routing uses to exclude failed fibers without
     rebuilding the graph.
 
-    With [?target] the run stops as soon as [target] is settled
-    (popped from the heap), turning an s-t query from settle-the-graph
-    into settle-until-target.  [dist.(target)], [prev.(target)] and
-    every vertex settled earlier are exactly as in the full run —
-    {!extract_path} to [target] is unaffected — but vertices that were
-    still on the frontier keep tentative (over-)estimates.  Omit
-    [target] when the result is reused for several destinations.
+    With [?targets] the run stops as soon as every listed target has
+    settled (been popped from the heap), turning an s-t or set-to-set
+    query from settle-the-graph into settle-until-targets.  A settled
+    target still expands while other targets are pending.  Each
+    target's [dist] and [prev], and those of every vertex settled
+    before the run stopped, are exactly as in the full run —
+    {!extract_path} to a target is unaffected — but off-target vertices
+    still on the frontier keep tentative (over-)estimates.  An
+    unreachable target never settles, so the run then drains the whole
+    reachable graph.  Omit [targets] (or pass [[]]) when the result is
+    reused for other destinations.
 
     With [?budget] every heap pop charges one unit of fuel;
     {!Qnet_overload.Budget.Exhausted} aborts the run the moment the
     budget empties (the per-domain scratch heap is still returned).
     Fuel counts expansions, not time, so budgeted runs stay
     deterministic at every [--jobs] level.
-    @raise Invalid_argument if any relaxed edge has negative weight.
+    @raise Invalid_argument if a source or target is out of range, or
+    any relaxed edge has negative weight.
     @raise Qnet_overload.Budget.Exhausted when the fuel runs out. *)
 
-val extract_path : dijkstra_result -> source:int -> target:int -> int list option
-(** The vertex sequence [source; …; target] along the recorded
-    predecessors, or [None] if [target] was unreachable. *)
+val extract_path : dijkstra_result -> target:int -> int list option
+(** The vertex sequence [s; …; target] along the recorded predecessors,
+    from the source [s] the path starts at, or [None] if [target] was
+    unreachable. *)
 
 val shortest_path :
   Graph.t ->

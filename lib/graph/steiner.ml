@@ -84,7 +84,7 @@ let kmb g ~terminals ~weight =
           List.fold_left
             (fun acc (src, dst) ->
               let r = dist_of src in
-              match Paths.extract_path r ~source:src ~target:dst with
+              match Paths.extract_path r ~target:dst with
               | None -> acc
               | Some path ->
                   List.fold_left

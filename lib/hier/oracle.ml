@@ -57,9 +57,9 @@ let corridor_channel t ~exclude ~budget ~capacity ~src ~dst corridor =
           ~weight:(Routing.edge_weight t.params)
           ~admit
           ~expand:(fun v -> Graph.is_switch t.g v)
-          ~edge_ok:exclude.Routing.edge_ok ~target:dst ?budget ()
+          ~edge_ok:exclude.Routing.edge_ok ~targets:[ dst ] ?budget ()
       in
-      match Paths.extract_path res ~source:src ~target:dst with
+      match Paths.extract_path res ~target:dst with
       | None -> None
       | Some path -> (
           match Channel.make t.g t.params path with

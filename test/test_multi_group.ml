@@ -192,6 +192,92 @@ let test_failed_group_rolls_back () =
         (gc.Multi_group.tree <> None)
   | _ -> Alcotest.fail "two groups expected")
 
+(* The per-source enumeration Algorithm 4 ran before its multi-source
+   grow step, kept as the naive reference: a full SSSP from every inside
+   user, and every channel to an outside user a candidate. *)
+let naive_attachment ~exclude g params ~capacity ~inside ~outside_users =
+  let best = ref None in
+  Hashtbl.iter
+    (fun src () ->
+      Routing.best_channels_from ~exclude g params ~capacity ~src
+      |> List.iter (fun (dst, (c : Channel.t)) ->
+             if List.mem dst outside_users then
+               match !best with
+               | Some (b : Channel.t)
+                 when Qnet_util.Logprob.compare_desc b.rate c.rate <= 0 ->
+                   ()
+               | _ -> best := Some c))
+    inside;
+  !best
+
+(* One random grow step, drawn from a seed: a Waxman network, a random
+   inside/outside split of its users, failed switches and fibers, and
+   capacity partly consumed by earlier channels. *)
+let prop_attachment_matches_naive =
+  QCheck.Test.make ~name:"best_attachment = per-source enumeration"
+    ~count:300
+    QCheck.(make ~print:string_of_int Gen.(int_range 1 100_000))
+    (fun seed ->
+      let rng = Prng.create seed in
+      let spec =
+        Qnet_topology.Spec.create
+          ~n_users:(2 + Prng.int rng 9)
+          ~n_switches:(4 + Prng.int rng 40)
+          ~qubits_per_switch:(2 + Prng.int rng 5)
+          ()
+      in
+      let g = Qnet_topology.Waxman.generate rng spec in
+      let params =
+        match Prng.int rng 4 with
+        | 0 -> Params.create ~alpha:1e-4 ~q:0. ()
+        | 1 -> Params.create ~alpha:3e-4 ~q:0.6 ()
+        | _ -> params
+      in
+      let users = Array.of_list (Graph.users g) in
+      Prng.shuffle_in_place rng users;
+      let k = 1 + Prng.int rng (Array.length users - 1) in
+      let inside = Hashtbl.create 8 in
+      Array.iteri (fun i u -> if i < k then Hashtbl.replace inside u ()) users;
+      let outside_users =
+        List.filter (fun u -> not (Hashtbl.mem inside u)) (Graph.users g)
+      in
+      let failed_v =
+        Array.init (Graph.vertex_count g) (fun v ->
+            Graph.is_switch g v && Prng.bernoulli rng 0.15)
+      in
+      let failed_e =
+        Array.init (Graph.edge_count g) (fun _ -> Prng.bernoulli rng 0.1)
+      in
+      let exclude =
+        {
+          Routing.vertex_ok = (fun v -> not failed_v.(v));
+          edge_ok = (fun e -> not failed_e.(e));
+        }
+      in
+      let capacity = Capacity.of_graph g in
+      for _ = 1 to Prng.int rng 5 do
+        let src = Prng.pick rng users and dst = Prng.pick rng users in
+        if src <> dst then
+          match Routing.best_channel g params ~capacity ~src ~dst with
+          | Some c -> Capacity.consume_channel capacity c.Channel.path
+          | None -> ()
+      done;
+      let expected =
+        naive_attachment ~exclude g params ~capacity ~inside ~outside_users
+      in
+      match
+        ( expected,
+          Multi_group.best_attachment ~exclude g params ~capacity ~inside
+            ~outside_users )
+      with
+      | None, None -> true
+      | Some (a : Channel.t), Some (b : Channel.t) ->
+          a.path = b.path
+          && Int64.equal
+               (Int64.bits_of_float (Qnet_util.Logprob.to_neg_log a.rate))
+               (Int64.bits_of_float (Qnet_util.Logprob.to_neg_log b.rate))
+      | _ -> false)
+
 let () =
   Alcotest.run "multi_group"
     [
@@ -208,5 +294,6 @@ let () =
           Alcotest.test_case "summary" `Quick test_summary_fields;
           Alcotest.test_case "contention" `Quick test_capacity_contention;
           Alcotest.test_case "rollback" `Quick test_failed_group_rolls_back;
+          QCheck_alcotest.to_alcotest prop_attachment_matches_naive;
         ] );
     ]

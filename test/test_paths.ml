@@ -39,7 +39,7 @@ let test_extract_path () =
   Alcotest.(check (option (list int)))
     "path to v4"
     (Some [ v0; v1; v3; v4 ])
-    (Paths.extract_path r ~source:v0 ~target:v4)
+    (Paths.extract_path r ~target:v4)
 
 let test_admit_filter () =
   let g, (v0, v1, v2, v3, _) = diamond () in
@@ -51,7 +51,7 @@ let test_admit_filter () =
   Alcotest.(check (option (list int)))
     "detour path"
     (Some [ v0; v2; v3 ])
-    (Paths.extract_path r ~source:v0 ~target:v3)
+    (Paths.extract_path r ~target:v3)
 
 let test_expand_filter () =
   let g, (v0, v1, v2, v3, v4) = diamond () in
@@ -72,7 +72,7 @@ let test_unreachable () =
   check_bool "isolated unreachable" true (r.Paths.dist.(v1) = infinity);
   Alcotest.(check (option (list int)))
     "no path" None
-    (Paths.extract_path r ~source:v0 ~target:v1)
+    (Paths.extract_path r ~target:v1)
 
 let test_negative_weight_rejected () =
   let g, (v0, _, _, _, _) = diamond () in
@@ -151,14 +151,14 @@ let test_target_early_exit () =
   let g, (v0, _, _, _, _) = diamond () in
   let full = Paths.dijkstra g ~source:v0 ~weight:length_weight () in
   for t = 0 to Graph.vertex_count g - 1 do
-    let r = Paths.dijkstra g ~source:v0 ~weight:length_weight ~target:t () in
+    let r = Paths.dijkstra g ~source:v0 ~weight:length_weight ~targets:[ t ] () in
     Alcotest.(check (float 1e-12))
       (Printf.sprintf "dist to %d" t)
       full.Paths.dist.(t) r.Paths.dist.(t);
     Alcotest.(check (option (list int)))
       (Printf.sprintf "path to %d" t)
-      (Paths.extract_path full ~source:v0 ~target:t)
-      (Paths.extract_path r ~source:v0 ~target:t)
+      (Paths.extract_path full ~target:t)
+      (Paths.extract_path r ~target:t)
   done
 
 let test_target_with_filters () =
@@ -166,13 +166,115 @@ let test_target_with_filters () =
   let admit v = v <> v1 in
   let full = Paths.dijkstra g ~source:v0 ~weight:length_weight ~admit () in
   let r =
-    Paths.dijkstra g ~source:v0 ~weight:length_weight ~admit ~target:v3 ()
+    Paths.dijkstra g ~source:v0 ~weight:length_weight ~admit ~targets:[ v3 ] ()
   in
   Alcotest.(check (float 1e-12))
     "detour distance with target" full.Paths.dist.(v3) r.Paths.dist.(v3);
   Alcotest.check_raises "bad target"
     (Invalid_argument "Paths.dijkstra: bad target") (fun () ->
-      ignore (Paths.dijkstra g ~source:v0 ~weight:length_weight ~target:99 ()))
+      ignore (Paths.dijkstra g ~source:v0 ~weight:length_weight ~targets:[ 99 ] ()))
+
+(* Random multi-source instances: a Waxman network, a random source set,
+   random admission and expansion filters, and a random target set, all
+   drawn from one seed. *)
+type search_case = {
+  g : Graph.t;
+  sources : int list;
+  admit : int -> bool;
+  expand : int -> bool;
+  targets : int list;
+}
+
+let search_case seed =
+  let rng = Qnet_util.Prng.create seed in
+  let spec =
+    Qnet_topology.Spec.create
+      ~n_users:(2 + Qnet_util.Prng.int rng 6)
+      ~n_switches:(4 + Qnet_util.Prng.int rng 30)
+      ~qubits_per_switch:4 ()
+  in
+  let g = Qnet_topology.Waxman.generate rng spec in
+  let n = Graph.vertex_count g in
+  let subset p = List.filter (fun _ -> Qnet_util.Prng.bernoulli rng p) in
+  let all = List.init n Fun.id in
+  let sources =
+    match subset 0.2 all with [] -> [ Qnet_util.Prng.int rng n ] | l -> l
+  in
+  let blocked = Array.init n (fun _ -> Qnet_util.Prng.bernoulli rng 0.15) in
+  let relay = Array.init n (fun _ -> Qnet_util.Prng.bernoulli rng 0.8) in
+  {
+    g;
+    sources;
+    admit = (fun v -> not blocked.(v));
+    expand = Array.get relay;
+    targets = subset 0.2 all;
+  }
+
+let multi_run ?targets c =
+  Paths.dijkstra c.g ~source:(List.hd c.sources) ~sources:(List.tl c.sources)
+    ~weight:length_weight ~admit:c.admit ~expand:c.expand ?targets ()
+
+let seed_arb = QCheck.(make ~print:string_of_int Gen.(int_range 1 100_000))
+
+(* ?sources is one search standing in for many: each vertex's distance
+   is the minimum over the single-source runs, bit for bit. *)
+let prop_sources_are_min_of_single_runs =
+  QCheck.Test.make ~name:"multi-source dist = min of single-source runs"
+    ~count:200 seed_arb (fun seed ->
+      let c = search_case seed in
+      let multi = multi_run c in
+      let singles =
+        List.map
+          (fun source ->
+            Paths.dijkstra c.g ~source ~weight:length_weight ~admit:c.admit
+              ~expand:c.expand ())
+          c.sources
+      in
+      List.for_all
+        (fun v ->
+          let best =
+            List.fold_left
+              (fun acc (r : Paths.dijkstra_result) -> Float.min acc r.dist.(v))
+              infinity singles
+          in
+          Int64.equal (Int64.bits_of_float best)
+            (Int64.bits_of_float multi.dist.(v)))
+        (List.init (Graph.vertex_count c.g) Fun.id))
+
+(* ?targets only stops the run early: every target keeps the distance and
+   the path of the full run. *)
+let prop_targets_match_full_run =
+  QCheck.Test.make ~name:"targets keep the full run's dist and path"
+    ~count:200 seed_arb (fun seed ->
+      let c = search_case seed in
+      let full = multi_run c and early = multi_run ~targets:c.targets c in
+      List.for_all
+        (fun t ->
+          Int64.equal
+            (Int64.bits_of_float full.dist.(t))
+            (Int64.bits_of_float early.dist.(t))
+          && Paths.extract_path full ~target:t
+             = Paths.extract_path early ~target:t)
+        c.targets)
+
+(* A multi-source path starts at one of the sources and ends at the
+   target; the sources themselves are their own one-vertex paths. *)
+let test_multi_source_paths () =
+  let g, (v0, v1, v2, v3, v4) = diamond () in
+  let r =
+    Paths.dijkstra g ~source:v2 ~sources:[ v4 ] ~weight:length_weight ()
+  in
+  Alcotest.(check (float 1e-12)) "v0 from v4" 4. r.Paths.dist.(v0);
+  Alcotest.(check (option (list int)))
+    "path to v0" (Some [ v4; v3; v1; v0 ])
+    (Paths.extract_path r ~target:v0);
+  Alcotest.(check (option (list int)))
+    "a source" (Some [ v2 ])
+    (Paths.extract_path r ~target:v2);
+  Alcotest.check_raises "bad source"
+    (Invalid_argument "Paths.dijkstra: bad source") (fun () ->
+      ignore
+        (Paths.dijkstra g ~source:v0 ~sources:[ 99 ] ~weight:length_weight ()))
 
 let () =
   Alcotest.run "paths"
@@ -190,6 +292,10 @@ let () =
           Alcotest.test_case "target early exit" `Quick test_target_early_exit;
           Alcotest.test_case "target with filters" `Quick
             test_target_with_filters;
+          Alcotest.test_case "multi-source paths" `Quick
+            test_multi_source_paths;
+          QCheck_alcotest.to_alcotest prop_sources_are_min_of_single_runs;
+          QCheck_alcotest.to_alcotest prop_targets_match_full_run;
         ] );
       ( "traversal",
         [
