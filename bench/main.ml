@@ -115,7 +115,7 @@ let run_ablations () =
    network by each routing policy.  Deterministic per seed, so the
    throughput numbers land in BENCH_muerp.json as a perf trajectory. *)
 
-let traffic_policies = [ "prim"; "alg3"; "eqcast"; "cached-prim"; "flow" ]
+let traffic_policies = [ "prim"; "alg3"; "eqcast"; "flow" ]
 
 (* The benches' scenarios: the §V-A network at [seed] serving
    [requests] Poisson arrivals at [rate], everything else at the CLI

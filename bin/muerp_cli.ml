@@ -1045,6 +1045,20 @@ let traffic_run verbose (scenario, reconfig_path) gap show_outcomes metrics =
   let b = or_exit "traffic" (Scenario.build s) in
   let g = b.net.graph and params = b.net.params and d = s.durability in
   let config = b.config and faults = b.fault_model and reconfig = s.reconfig in
+  (* Load the cut before the header: a refused restore exits 2 with
+     nothing on stdout.  Falls back to FILE.prev when the newest cut is
+     bad, and picks up the journal tail for replay verification. *)
+  let recovered =
+    Option.map
+      (fun path ->
+        match
+          Qnet_resilience.Checkpoint.recover ~path ~config:b.fingerprint
+            ?journal:d.journal ()
+        with
+        | Ok r -> r
+        | Error msg -> prerr_endline msg; exit 2)
+      d.restore
+  in
   Option.iter
     (fun oracle ->
       Format.printf "partition: %a@." Qnet_hier.Partition.pp
@@ -1086,33 +1100,25 @@ let traffic_run verbose (scenario, reconfig_path) gap show_outcomes metrics =
     exit (if Qnet_resilience.Drill.passed drill then 0 else 1)
   end;
   let restore_from, replay_verifier =
-    match d.restore with
+    match recovered with
     | None -> (None, None)
-    | Some path -> (
-        (* Falls back to FILE.prev when the newest cut is bad, and picks
-           up the journal tail for replay verification. *)
-        match
-          Qnet_resilience.Checkpoint.recover ~path ~config:b.fingerprint
-            ?journal:d.journal ()
-        with
-        | Ok r ->
-            List.iter
-              (fun w -> Printf.eprintf "warning: %s\n" w)
-              r.Qnet_resilience.Checkpoint.r_warnings;
-            Printf.printf "restored from %s (checkpoint at t=%g"
-              r.Qnet_resilience.Checkpoint.r_path
-              (Engine.snapshot_at r.Qnet_resilience.Checkpoint.r_snapshot);
-            if d.journal <> None then
-              Printf.printf ", %d journal record(s) to verify"
-                (List.length r.Qnet_resilience.Checkpoint.r_journal);
-            print_endline ")";
-            ( Some r.Qnet_resilience.Checkpoint.r_snapshot,
-              if d.journal <> None then
-                Some
-                  (Qnet_resilience.Journal.verifier
-                     r.Qnet_resilience.Checkpoint.r_journal)
-              else None )
-        | Error msg -> prerr_endline msg; exit 2)
+    | Some r ->
+        List.iter
+          (fun w -> Printf.eprintf "warning: %s\n" w)
+          r.Qnet_resilience.Checkpoint.r_warnings;
+        Printf.printf "restored from %s (checkpoint at t=%g"
+          r.Qnet_resilience.Checkpoint.r_path
+          (Engine.snapshot_at r.Qnet_resilience.Checkpoint.r_snapshot);
+        if d.journal <> None then
+          Printf.printf ", %d journal record(s) to verify"
+            (List.length r.Qnet_resilience.Checkpoint.r_journal);
+        print_endline ")";
+        ( Some r.Qnet_resilience.Checkpoint.r_snapshot,
+          if d.journal <> None then
+            Some
+              (Qnet_resilience.Journal.verifier
+                 r.Qnet_resilience.Checkpoint.r_journal)
+          else None )
   in
   let writer =
     if d.checkpoint_every <= 0. then None
@@ -1295,11 +1301,6 @@ let policy_t =
             "Serving policy: prim, alg2, alg3, eqcast or flow (the LP \
              relaxation + randomized rounding optimizer, falling back to \
              prim when rounding fails).")
-  and+ cache =
-    Arg.(
-      value & flag
-      & info [ "cache" ]
-          ~doc:"Memoise trees per user group (cached-* policy variant).")
   and+ hier = hier_t
   and+ tiers =
     Arg.(
@@ -1318,7 +1319,7 @@ let policy_t =
              attempt (0 = unmetered).  With --tiers this is the per-tier \
              fuel.")
   in
-  { Scenario.name; cache; hier; tiers; budget }
+  { Scenario.name; hier; tiers; budget }
 
 let overload_t =
   let d = Scenario.default.overload in

@@ -18,7 +18,6 @@ let policy ?(seed = 0xf10e5) () =
     Policy.name = "flow";
     (* Stateless: the rounding seed is a pure function of the user
        group, so a restored run routes exactly like the original. *)
-    checkpoint_safe = true;
     state = None;
     route =
       (fun ~exclude ~budget g params ~capacity ~users ->

@@ -17,8 +17,8 @@ val policy : ?seed:int -> unit -> Qnet_online.Policy.t
     mixed with each request's user group to seed the rounding draw. *)
 
 val register : unit -> unit
-(** Make ["flow"] (and ["cached-flow"]) resolvable through
-    {!Qnet_online.Policy.of_name} / [all].  Idempotent; the CLI and
+(** Make ["flow"] resolvable through
+    {!Qnet_online.Policy.of_name}.  Idempotent; the CLI and
     bench call it at startup — library module initialisation alone must
     not be relied on for side effects under dune's selective
     linking. *)

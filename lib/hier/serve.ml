@@ -12,7 +12,6 @@ let policy oracle =
        restored run resumes with exactly the warmth the original had (a
        cold cache would diverge — segment reuse is optimistic, and
        warmth can change which corridor wins). *)
-    checkpoint_safe = true;
     state =
       Some
         {

@@ -5,8 +5,7 @@
     every attachment answered hierarchically, consuming capacity on
     success exactly like the flat ["prim"] policy — so the engine's
     oversubscription invariant, verification watchdog and determinism
-    contract all hold unchanged.  Compose with
-    {!Qnet_online.Policy.cached} for the usual memoisation.
+    contract all hold unchanged.
 
     {!attach_health} closes the fault loop: it registers a
     {!Qnet_faults.Health.on_transition} observer that eagerly drops the
@@ -16,8 +15,7 @@
 
 val policy : Oracle.t -> Qnet_online.Policy.t
 (** The ["hier-prim"] policy.  The engine must be run over the same
-    graph the oracle was built on.  Checkpoint-safe: the oracle's
-    segment cache is carried across snapshot/restore through
+    graph the oracle was built on.  The oracle's segment cache is carried across snapshot/restore through
     {!Skeleton.export}/{!Skeleton.import} (a cold cache would change
     which corridors win and break byte-identical restore).
     @raise Invalid_argument (at route time) if the graphs differ. *)

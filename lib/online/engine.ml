@@ -537,14 +537,6 @@ let run ?config:(cfg = config Policy.prim) ?faults ?fault_schedule ?on_incident
     g params ~requests =
   validate g requests;
   Option.iter (validate_schedule g) fault_schedule;
-  (if (checkpoint <> None || restore_from <> None)
-      && not cfg.policy.Policy.checkpoint_safe
-   then
-     invalid_arg
-       (Printf.sprintf
-          "Engine.run: policy %s keeps hidden mutable state and cannot be \
-           checkpointed or restored"
-          cfg.policy.Policy.name));
   (match checkpoint with
   | Some (every, _) ->
       if every <= 0. || not (Float.is_finite every) then

@@ -425,9 +425,7 @@ val run :
     {e same} graph, params, [~requests] and flags as the original run;
     the continuation's report, outcomes and [online.*] counters are
     byte-identical to the uninterrupted run's.  A restored run with
-    [checkpoint] resumes the original cadence.  Both require a policy
-    with {!Policy.t.checkpoint_safe} ({!Policy.cached} over a policy
-    with its own state is not: the wrappers' states do not compose).
+    [checkpoint] resumes the original cadence.
 
     [reconfig] applies live topology changes mid-run without draining
     traffic: leaves/removals recover affected leases through the
@@ -442,9 +440,8 @@ val run :
     @raise Invalid_argument on malformed requests (non-user members,
     fewer than 2 users, duplicate ids, negative times, deadline before
     arrival), a non-positive checkpoint
-    interval, an invalid [reconfig] list ({!Reconfig.validate}), a
-    checkpoint/restore request under a non-[checkpoint_safe] policy, or
-    a [restore_from] snapshot inconsistent with this run's graph,
+    interval, an invalid [reconfig] list ({!Reconfig.validate}), or a
+    [restore_from] snapshot inconsistent with this run's graph,
     workload or flags.
     @raise Qnet_core.Verify.Violations if a repaired or served tree
     fails independent re-validation (a routing bug, never a workload

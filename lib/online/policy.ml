@@ -2,15 +2,10 @@ module Graph = Qnet_graph.Graph
 module Tm = Qnet_telemetry.Metrics
 open Qnet_core
 
-let c_cache_hits = Tm.counter "online.policy.cache.hits"
-let c_cache_misses = Tm.counter "online.policy.cache.misses"
-let c_cache_invalidations = Tm.counter "online.policy.cache.invalidations"
-
-(* Hooks a stateful-but-checkpoint-safe policy exposes so the engine
-   can carry its hidden state across a snapshot/restore cycle.  [save]
-   captures the state as a pure sexp document; [load] rebuilds it (the
-   graph and params are in scope so cached trees can be reconstructed
-   channel-by-channel, exactly as active leases are). *)
+(* Hooks a stateful policy exposes so the engine can carry its hidden
+   state across a snapshot/restore cycle.  [save] captures the state as
+   a pure sexp document; [load] rebuilds it against the restoring run's
+   graph and params. *)
 type state_hooks = {
   save : unit -> Qnet_util.Sexp.t;
   load : Graph.t -> Params.t -> Qnet_util.Sexp.t -> (unit, string) result;
@@ -18,7 +13,6 @@ type state_hooks = {
 
 type t = {
   name : string;
-  checkpoint_safe : bool;
   state : state_hooks option;
   route :
     exclude:Routing.exclusion ->
@@ -49,7 +43,6 @@ let try_consume capacity (tree : Ent_tree.t) =
 let prim =
   {
     name = "prim";
-    checkpoint_safe = true;
     state = None;
     route =
       (fun ~exclude ~budget g params ~capacity ~users ->
@@ -123,7 +116,6 @@ let of_algorithm alg =
   in
   {
     name;
-    checkpoint_safe = true;
     state = None;
     route =
       (fun ~exclude ~budget g params ~capacity ~users ->
@@ -137,7 +129,6 @@ let of_algorithm alg =
 let eqcast =
   {
     name = "eqcast";
-    checkpoint_safe = true;
     state = None;
     route =
       (fun ~exclude ~budget g params ~capacity ~users ->
@@ -145,123 +136,6 @@ let eqcast =
         match Qnet_baselines.Eqcast.solve ?budget view params with
         | None -> None
         | Some tree -> admit_view_tree ~exclude g params ~capacity tree);
-  }
-
-let tree_alive g exclude (tree : Ent_tree.t) =
-  List.for_all
-    (fun (c : Channel.t) -> Routing.path_ok g exclude c.Channel.path)
-    tree.Ent_tree.channels
-
-(* The memo table serialises as (users, channel vertex-paths) entries,
-   sorted by key; [load] rebuilds every tree channel-by-channel against
-   the restoring run's graph, the same bit-identical reconstruction
-   active leases use.  A cold cache would NOT be equivalent: the
-   uninterrupted run replays memoised trees computed under earlier
-   residual states, so byte-identity requires restoring the exact
-   contents, not re-deriving them. *)
-let cached_state table =
-  let module Sexp = Qnet_util.Sexp in
-  let save () =
-    Hashtbl.fold (fun k tree acc -> (k, tree) :: acc) table []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-    |> List.map (fun (users, (tree : Ent_tree.t)) ->
-           Sexp.list
-             [
-               Sexp.list (List.map Sexp.int users);
-               Sexp.list
-                 (List.map
-                    (fun (c : Channel.t) ->
-                      Sexp.list (List.map Sexp.int c.Channel.path))
-                    tree.Ent_tree.channels);
-             ])
-    |> fun entries -> Sexp.list (Sexp.atom "memo" :: entries)
-  in
-  let load g params doc =
-    let ( let* ) = Result.bind in
-    let int_list l =
-      List.fold_left
-        (fun acc x ->
-          let* acc = acc in
-          let* i = Sexp.to_int x in
-          Ok (i :: acc))
-        (Ok []) l
-      |> Result.map List.rev
-    in
-    let entry = function
-      | Sexp.List [ Sexp.List users; Sexp.List paths ] ->
-          let* users = int_list users in
-          let* channels =
-            List.fold_left
-              (fun acc p ->
-                let* acc = acc in
-                let* path =
-                  match p with
-                  | Sexp.List vs -> int_list vs
-                  | Sexp.Atom _ -> Error "memo path must be a list"
-                in
-                let* c =
-                  Result.map_error
-                    (fun r -> "memoised channel invalid on this network: " ^ r)
-                    (Channel.make g params path)
-                in
-                Ok (c :: acc))
-              (Ok []) paths
-            |> Result.map List.rev
-          in
-          Ok (users, Ent_tree.of_channels channels)
-      | _ -> Error "malformed memo entry"
-    in
-    match doc with
-    | Sexp.List (Sexp.Atom "memo" :: entries) ->
-        let* parsed =
-          List.fold_left
-            (fun acc e ->
-              let* acc = acc in
-              let* kv = entry e in
-              Ok (kv :: acc))
-            (Ok []) entries
-        in
-        Hashtbl.reset table;
-        List.iter (fun (k, v) -> Hashtbl.replace table k v) parsed;
-        Ok ()
-    | _ -> Error "malformed memo table document"
-  in
-  { save; load }
-
-let cached inner =
-  let table : (int list, Ent_tree.t) Hashtbl.t = Hashtbl.create 64 in
-  {
-    name = "cached-" ^ inner.name;
-    (* The memo table is mutable state touched on every call;
-       checkpointing is fine — the state hooks above carry the exact
-       table contents across a restore. *)
-    (* Wrapping a policy that carries its own restorable state would
-       need composed hooks; no roster policy does, so the wrapper only
-       claims safety when the inner policy is stateless. *)
-    checkpoint_safe = inner.checkpoint_safe && Option.is_none inner.state;
-    state = Some (cached_state table);
-    route =
-      (fun ~exclude ~budget g params ~capacity ~users ->
-        let key = List.sort compare users in
-        match Hashtbl.find_opt table key with
-        | Some tree when tree_alive g exclude tree && try_consume capacity tree
-          ->
-            Tm.Counter.incr c_cache_hits;
-            Some tree
-        | found -> (
-            if found <> None then begin
-              (* The memoised tree no longer fits the residual state —
-                 or now crosses a failed element: drop it and route
-                 afresh. *)
-              Tm.Counter.incr c_cache_invalidations;
-              Hashtbl.remove table key
-            end;
-            Tm.Counter.incr c_cache_misses;
-            match inner.route ~exclude ~budget g params ~capacity ~users with
-            | None -> None
-            | Some tree ->
-                Hashtbl.replace table key tree;
-                Some tree));
   }
 
 let base =
@@ -274,8 +148,8 @@ let base =
 
 (* External policies (e.g. the flow optimizer in [Qnet_flow]) plug into
    the roster here instead of this module depending on them.  The
-   registry stores constructors, not instances, for the same freshness
-   reason as [all] below. *)
+   registry stores constructors, so every lookup gets a fresh
+   instance. *)
 let registry : (string, unit -> t) Hashtbl.t = Hashtbl.create 8
 
 let register name mk =
@@ -284,37 +158,10 @@ let register name mk =
     invalid_arg ("Policy.register: " ^ name ^ " is a built-in policy");
   Hashtbl.replace registry name mk
 
-let registered () =
-  Hashtbl.fold (fun name mk acc -> (name, mk) :: acc) registry []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-(* Fresh instances on every call: a cached policy owns a memo table, and
-   sharing one across engine runs would let an earlier run's trees leak
-   into a later one. *)
-let all () =
-  let roster = base @ List.map (fun (_, mk) -> mk ()) (registered ()) in
-  List.map (fun p -> (p.name, p)) roster
-  @ List.map
-      (fun p ->
-        let c = cached p in
-        (c.name, c))
-      roster
-
 let of_name name =
-  let lookup name =
-    match List.find_opt (fun p -> p.name = name) base with
-    | Some p -> Some p
-    | None -> Option.map (fun mk -> mk ()) (Hashtbl.find_opt registry name)
-  in
-  match lookup name with
+  match List.find_opt (fun p -> p.name = name) base with
   | Some p -> Some p
-  | None ->
-      let prefix = "cached-" in
-      let n = String.length prefix in
-      if String.length name > n && String.sub name 0 n = prefix then
-        lookup (String.sub name n (String.length name - n))
-        |> Option.map cached
-      else None
+  | None -> Option.map (fun mk -> mk ()) (Hashtbl.find_opt registry name)
 
 (* -------------------------------------------------------------------- *)
 (* Tiered graceful degradation.                                          *)
@@ -357,6 +204,13 @@ let release_tree capacity (tree : Ent_tree.t) =
 let tiered ?(fuel = 4096) ?breaker_threshold ?breaker_cooldown tiers =
   if tiers = [] then invalid_arg "Policy.tiered: no tiers";
   if fuel <= 0 then invalid_arg "Policy.tiered: fuel must be positive";
+  (* The ladder's own state is [None], so a tier's hidden state would
+     not reach the snapshot and a restored run would diverge. *)
+  List.iter
+    (fun p ->
+      if Option.is_some p.state then
+        invalid_arg ("Policy.tiered: tier " ^ p.name ^ " keeps hidden state"))
+    tiers;
   let tiers = Array.of_list tiers in
   let n = Array.length tiers in
   let breakers =
@@ -435,4 +289,4 @@ let tiered ?(fuel = 4096) ?breaker_threshold ?breaker_cooldown tiers =
   (* Breakers and tier stats are mutable state, and [stats.last] is
      sampled right after each call.  Checkpointing is fine: the engine
      snapshot carries breaker and tier-stat state. *)
-  ({ name; checkpoint_safe = true; state = None; route }, stats)
+  ({ name; state = None; route }, stats)

@@ -8,7 +8,7 @@
     impossible by construction: a policy may only return a tree whose
     qubits it successfully consumed.
 
-    Three families are provided:
+    Two families are provided:
 
     - {!prim}: the native per-request kernel,
       {!Qnet_core.Multi_group.prim_for_users} (Algorithm 4 generalised
@@ -17,19 +17,17 @@
       solver on a {e residual view} of the network — a copy where the
       request's users are the only user vertices and every switch's
       budget is its current residual — then re-validate and consume the
-      resulting tree against the true capacity state;
-    - {!cached}, a memoising wrapper: trees are remembered per user
-      group and replayed without re-running the solver while they still
-      fit the residual capacity, invalidating lazily when they no
-      longer do. *)
+      resulting tree against the true capacity state.
 
-(** Hooks a stateful-but-checkpoint-safe policy exposes so the engine
-    can carry its hidden state across a snapshot/restore cycle:
-    [save] captures the state as a pure sexp document (stored in the
-    engine snapshot's policy-state section), [load] rebuilds it against
-    the restoring run's graph and params — for {!cached}, every
-    memoised tree is reconstructed channel-by-channel, the same
-    bit-identical rebuild active leases get. *)
+    Every request is routed on the live residual state: no policy
+    replays a tree computed under an earlier one. *)
+
+(** Hooks a stateful policy exposes so the engine can carry its hidden
+    state across a snapshot/restore cycle: [save] captures the state as
+    a pure sexp document (stored in the engine snapshot's policy-state
+    section), [load] rebuilds it against the restoring run's graph and
+    params.  The hierarchical policy's segment cache travels this
+    way. *)
 type state_hooks = {
   save : unit -> Qnet_util.Sexp.t;
   load :
@@ -41,18 +39,6 @@ type state_hooks = {
 
 type t = {
   name : string;
-  checkpoint_safe : bool;
-      (** Whether a run under this policy can be checkpointed and
-          restored byte-identically.  True for the stateless built-ins,
-          the flow policy, {!tiered} (its breakers and stats ride in
-          the engine snapshot), and — via {!state_hooks} — {!cached}
-          and the hierarchical policy, whose memo/segment caches are
-          serialised into the snapshot's policy-state section and
-          rebuilt exactly on restore (a cold cache would diverge: the
-          uninterrupted run replays trees computed under earlier
-          residual states).  The CLI refuses
-          [--checkpoint-every]/[--restore] under an unsafe policy
-          rather than silently produce diverging reports. *)
   state : state_hooks option;
       (** Present exactly when the policy keeps restorable hidden
           state; the engine calls [save] at each checkpoint cut and
@@ -94,7 +80,7 @@ val route :
 val try_consume : Qnet_core.Capacity.t -> Qnet_core.Ent_tree.t -> bool
 (** Atomically consume the tree's aggregate switch-qubit demand if every
     switch can afford it; [false] leaves the capacity state unchanged.
-    The admission primitive the adapters and cache replay use. *)
+    The admission primitive the adapters use. *)
 
 val prim : t
 (** ["prim"] — Algorithm 4 on the live residual state; consumes
@@ -109,31 +95,14 @@ val of_algorithm : Qnet_core.Muerp.algorithm -> t
 val eqcast : t
 (** ["eqcast"] — the E-Q-CAST chaining baseline on the residual view. *)
 
-val cached : t -> t
-(** [cached p] memoises [p]'s trees per (sorted) user group.  A cache
-    hit replays the stored tree if it survives the current exclusion
-    (no channel through a failed element) and {!try_consume} accepts it
-    under the current residual capacity; otherwise the entry is
-    invalidated and [p] re-routes.  Checkpoint-safe (when [p] is): the
-    memo table is carried across snapshot/restore through
-    {!state_hooks}, serialised as (users, vertex-paths) entries.
-    Counters: [online.policy.cache.{hits,misses,invalidations}]. *)
-
-val all : unit -> (string * t) list
-(** Fresh instances of every selectable policy, cached variants included
-    (["cached-prim"], …), keyed by {!of_name}-compatible names.  A new
-    list per call so no memo table is shared between runs. *)
-
 val of_name : string -> t option
-(** ["prim"], ["alg2"], ["alg3"], ["eqcast"], any {!register}ed name,
-    or any of them prefixed with ["cached-"] (a fresh cache per
-    call). *)
+(** ["prim"], ["alg2"], ["alg3"], ["eqcast"] or any {!register}ed
+    name. *)
 
 val register : string -> (unit -> t) -> unit
 (** [register name mk] adds an externally provided policy constructor
-    to the selectable roster: {!of_name} and {!all} instantiate it on
-    demand (a fresh instance per call, like the built-ins), and
-    ["cached-" ^ name] works too.  This is how subsystems that sit
+    to the selectable roster: {!of_name} instantiates it on demand (a
+    fresh instance per call).  This is how subsystems that sit
     above this library — the flow optimizer, hierarchical routing —
     become CLI-selectable without a dependency cycle.  Re-registering a
     name replaces the previous constructor.
@@ -180,5 +149,8 @@ val tiered :
     tier returning [None] (honest infeasibility) falls through without
     penalising its breaker.  Counters:
     [online.overload.{budget_exhausted,verify_rejected,breaker_skips,breaker_opens}].
-    @raise Invalid_argument on an empty tier list or non-positive
-    fuel. *)
+    The ladder keeps no {!state_hooks} of its own, so every tier must
+    be stateless ([state = None]): a tier's hidden state would not
+    reach the snapshot, and a restored run would diverge.
+    @raise Invalid_argument on an empty tier list, non-positive fuel or
+    a tier with [state <> None]. *)

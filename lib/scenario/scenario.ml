@@ -24,7 +24,6 @@ type network = {
 
 type policy = {
   name : string;
-  cache : bool;
   hier : bool;
   tiers : string option;
   budget : int;
@@ -87,7 +86,7 @@ let default =
   {
     network = default_network;
     workload = Workload.default;
-    policy = { name = "prim"; cache = false; hier = false; tiers = None; budget = 0 };
+    policy = { name = "prim"; hier = false; tiers = None; budget = 0 };
     overload =
       {
         queue = 32;
@@ -202,9 +201,6 @@ let tier_names s =
   String.split_on_char ',' s |> List.map String.trim
   |> List.filter (fun n -> n <> "")
 
-let named (p : policy) name =
-  Policy.of_name (if p.cache then "cached-" ^ name else name)
-
 let admission queue = if queue = 0 then Engine.Reject else Engine.Queue queue
 
 let max_group = function
@@ -254,11 +250,9 @@ let validate t =
   and f = t.faults
   and d = t.durability in
   let known name () =
-    if named p name = None then
+    if Policy.of_name name = None then
       invalid_arg
-        (Printf.sprintf
-           "unknown policy %S (expected prim|alg2|alg3|eqcast|flow, \
-            optionally with --cache)"
+        (Printf.sprintf "unknown policy %S (expected prim|alg2|alg3|eqcast|flow)"
            name)
   in
   let checkpoints = d.checkpoint_every > 0. in
@@ -340,17 +334,6 @@ let validate t =
               || d.journal <> None))
           "cannot be combined with --checkpoint-every, --restore, --halt-at \
            or --journal" );
-      (* A cut carries a memo table through the cached policy's own
-         snapshot hooks, but not through the tiered wrapper (whose
-         snapshot leaves its tiers' tables out) nor over the
-         hierarchical policy (whose state the wrapper cannot compose). *)
-      ( "--cache",
-        require
-          (not
-             (p.cache && (p.hier || p.tiers <> None)
-             && (checkpoints || d.restore <> None || d.drill > 0.)))
-          "with --hier or --tiers, cannot be combined with \
-           --checkpoint-every, --restore or --drill" );
     ]
     t
 
@@ -417,15 +400,15 @@ let build t =
   in
   let policy, tier_stats =
     match (oracle, p.tiers) with
-    | Some oracle, _ ->
-        let hp = Qnet_hier.Serve.policy oracle in
-        ((if p.cache then Policy.cached hp else hp), None)
-    | None, None -> (Option.get (named p p.name), None)
+    | Some oracle, _ -> (Qnet_hier.Serve.policy oracle, None)
+    | None, None -> (Option.get (Policy.of_name p.name), None)
     | None, Some s ->
         let fuel = if p.budget > 0 then p.budget else 4096 in
         let tp, stats =
           Policy.tiered ~fuel
-            (List.map (fun name -> Option.get (named p name)) (tier_names s))
+            (List.map
+               (fun name -> Option.get (Policy.of_name name))
+               (tier_names s))
         in
         (tp, Some stats)
   in

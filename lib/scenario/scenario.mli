@@ -31,7 +31,6 @@ type network = {
 
 type policy = {
   name : string;  (** prim, alg2, alg3, eqcast or flow. *)
-  cache : bool;  (** Memoise trees per user group ([cached-*]). *)
   hier : bool;  (** Route through the hierarchical oracle instead. *)
   tiers : string option;
       (** Comma-separated degradation ladder, replacing [name]. *)

@@ -83,6 +83,9 @@ SECTIONS = {
     ),
 }
 
+# Sections whose row set may differ between snapshots.
+ROW_SET_EXEMPT = {"hier"}
+
 GAP_FIELDS = ["gap_alg2", "gap_alg3", "gap_alg4", "gap_eqcast", "gap_flow"]
 
 # Resilience fields that are pure functions of the fixed seeds (wall
@@ -270,8 +273,14 @@ def main():
     for section, (key, fields) in SECTIONS.items():
         old_rows = index_rows(committed.get(section, []), key)
         new_rows = index_rows(fresh.get(section, []), key)
-        # Rows present in only one snapshot are allowed: the hier size
-        # ladder (and nothing else today) grows with MUERP_REPLICATIONS.
+        # Every section but hier must list the same rows in both
+        # snapshots, so a row cannot vanish from the guard unnoticed.
+        # The hier size ladder grows with MUERP_REPLICATIONS.
+        if section not in ROW_SET_EXEMPT:
+            for row_key in sorted(old_rows.keys() - new_rows.keys()):
+                diffs.append(f"{section}[{key}={row_key}]: missing from fresh")
+            for row_key in sorted(new_rows.keys() - old_rows.keys()):
+                diffs.append(f"{section}[{key}={row_key}]: not in committed")
         for row_key in sorted(old_rows.keys() & new_rows.keys()):
             old, new = old_rows[row_key], new_rows[row_key]
             for field in fields:

@@ -268,8 +268,8 @@ let hostile_traffic =
     (* Settings no constructor refuses, whose arrival stream overflows. *)
     ("--arrival=batch:1:1e308", "--arrival");
     ("--arrival=poisson:1e-320", "--arrival");
-    ("--hier --cache --checkpoint-every 3", "--cache");
-    ("--tiers prim --cache --drill 3", "--cache");
+    (* A retired policy name must not resolve. *)
+    ("--policy=cached-prim", "--policy");
   ]
 
 let test_hostile_values () =
@@ -305,40 +305,6 @@ let with_halted_run f =
       check_int "halted run exit 0" 0 code;
       check_bool "halted" true (contains out "halted at checkpoint");
       f ~flags ~ckpt ~journal)
-
-(* A cached policy's memo table travels in the cut: a run halted under
-   --cache resumes to the uninterrupted run's output, plus the line
-   naming the cut. *)
-let test_cached_restore () =
-  let ckpt = Filename.temp_file "cli_cached" ".ckpt" in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter
-        (fun f -> if Sys.file_exists f then Sys.remove f)
-        [ ckpt; ckpt ^ ".prev" ])
-    (fun () ->
-      let flags = "traffic --cache --seed 5 -n 30" in
-      let code, full = run_stdout flags in
-      check_int "full run exit 0" 0 code;
-      let code, _ =
-        run_stdout
-          (Printf.sprintf "%s --checkpoint-every 3 --halt-at 9 --checkpoint %s"
-             flags (Filename.quote ckpt))
-      in
-      check_int "halted run exit 0" 0 code;
-      let code, restored =
-        run_stdout (Printf.sprintf "%s --restore %s" flags (Filename.quote ckpt))
-      in
-      check_int "restored run exit 0" 0 code;
-      let without_restore_line out =
-        String.split_on_char '\n' out
-        |> List.filter (fun l -> not (String.starts_with ~prefix:"restored from" l))
-        |> String.concat "\n"
-      in
-      check_bool "restored says so" true (contains restored "restored from");
-      Alcotest.(check string)
-        "restored output equals the full run" full
-        (without_restore_line restored))
 
 let test_inspect_cut () =
   with_halted_run (fun ~flags:_ ~ckpt ~journal:_ ->
@@ -426,6 +392,43 @@ let test_restore_corrupt_body () =
       check_bool "says the body is malformed" true
         (contains out "malformed snapshot body"))
 
+(* A cut written under the retired cached-prim policy carries that
+   name in its config fingerprint: the restore refuses it as written
+   under different flags, exit 2 with nothing on stdout. *)
+let test_restore_cached_cut () =
+  with_halted_run (fun ~flags ~ckpt ~journal:_ ->
+      let data = In_channel.with_open_bin ckpt In_channel.input_all in
+      let line_end from = String.index_from data from '\n' + 1 in
+      let p1 = line_end 0 in
+      let p2 = line_end p1 in
+      (* The footer is the last line; everything before it is the body. *)
+      let footer = String.rindex_from data (String.length data - 2) '\n' + 1 in
+      let config =
+        String.sub data p1 (p2 - p1)
+        |> String.split_on_char ' '
+        |> List.map (function "policy=prim" -> "policy=cached-prim" | w -> w)
+        |> String.concat " "
+      in
+      let body =
+        String.sub data 0 p1 ^ config ^ String.sub data p2 (footer - p2)
+      in
+      check_bool "config rewritten" true (contains config "policy=cached-prim");
+      let oc = open_out_bin ckpt in
+      Printf.fprintf oc "%sintegrity %s %d\n" body
+        (Digest.to_hex (Digest.string body))
+        (String.length body);
+      close_out oc;
+      Sys.remove (ckpt ^ ".prev");
+      let args = Printf.sprintf "%s --restore %s" flags (Filename.quote ckpt) in
+      let code, out, err = run_split args in
+      check_int "exit 2" 2 code;
+      Alcotest.(check string) "nothing on stdout" "" out;
+      check_bool "reports the config mismatch" true
+        (contains err "written under different flags"
+        && contains err "policy=cached-prim");
+      check_bool "no internal error" false
+        (contains err "internal error" || contains err "uncaught exception"))
+
 (* Every file-reading surface, handed a directory: exit 2 with the path
    in the message, never a bare errno string or a backtrace. *)
 let test_directory_argument cmd () =
@@ -467,7 +470,6 @@ let () =
           Alcotest.test_case "bad arguments" `Quick test_bad_arguments;
           Alcotest.test_case "bad network flags" `Quick test_bad_network_flags;
           Alcotest.test_case "hostile values" `Quick test_hostile_values;
-          Alcotest.test_case "cached restore" `Quick test_cached_restore;
           Alcotest.test_case "inspect cut" `Quick test_inspect_cut;
           Alcotest.test_case "pinned fingerprint" `Quick
             test_pinned_fingerprint;
@@ -477,6 +479,8 @@ let () =
           Alcotest.test_case "inspect other" `Quick test_inspect_other;
           Alcotest.test_case "restore corrupt body" `Quick
             test_restore_corrupt_body;
+          Alcotest.test_case "restore cached cut" `Quick
+            test_restore_cached_cut;
         ]
         @ List.map
             (fun (name, cmd) ->

@@ -190,11 +190,9 @@ let test_policy_contract () =
       List.iter
         (fun s -> Alcotest.(check int) "untouched" 0 (Capacity.used capacity s))
         (Graph.switches g));
-  (* Registration: the roster resolves flow and cached-flow. *)
+  (* Registration: the roster resolves flow. *)
   Flow.Serve.register ();
-  check_bool "of_name flow" true (Qnet_online.Policy.of_name "flow" <> None);
-  check_bool "of_name cached-flow" true
-    (Qnet_online.Policy.of_name "cached-flow" <> None)
+  check_bool "of_name flow" true (Qnet_online.Policy.of_name "flow" <> None)
 
 (* Property: on random connected instances the LP bounds dominate every
    heuristic (structure bound: all methods; capacity bound:

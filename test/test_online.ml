@@ -1,6 +1,6 @@
 (* Unit and property tests for qnet_online — the dynamic traffic engine:
    event-queue ordering, workload determinism, admission / queue /
-   expiry semantics, policy adapters and cache, and the central safety
+   expiry semantics, policy adapters and tiers, and the central safety
    property that concurrent leases never oversubscribe a switch. *)
 
 module Graph = Qnet_graph.Graph
@@ -220,9 +220,7 @@ let test_conservation_and_determinism () =
   in
   let run () =
     let reqs = Workload.generate (Prng.create 11) g spec in
-    (* Fresh policy per run: a cached policy's memo table must not leak
-       between runs. *)
-    let config = Engine.config (Policy.cached Policy.prim) in
+    let config = Engine.config Policy.prim in
     Engine.run ~config g params ~requests:reqs
   in
   let report, outcomes = run () in
@@ -304,10 +302,9 @@ let test_retry_at_deadline_expires () =
 let test_policy_names () =
   check_bool "prim" true (Policy.of_name "prim" <> None);
   check_bool "alg3" true (Policy.of_name "alg3" <> None);
-  check_bool "cached-eqcast" true (Policy.of_name "cached-eqcast" <> None);
+  check_bool "eqcast" true (Policy.of_name "eqcast" <> None);
   check_bool "unknown" true (Policy.of_name "dijkstra" = None);
-  check_bool "bare cached-" true (Policy.of_name "cached-" = None);
-  check_int "8 selectable policies" 8 (List.length (Policy.all ()))
+  check_bool "no cached- variants" true (Policy.of_name "cached-prim" = None)
 
 let test_try_consume () =
   let g, (a0, a1), _ = hub_network () in
@@ -337,21 +334,19 @@ let test_adapter_respects_residual () =
   check_bool "hub depleted: second pair refused" true
     (Qnet_online.Policy.route alg3 g params ~capacity ~users:[ b0; b1 ] = None)
 
-let test_cached_policy () =
+(* A ladder keeps no policy state of its own, so a tier with hidden
+   state (the hierarchical policy's segment cache) would restore cold:
+   [tiered] refuses it up front. *)
+let test_tiered_refuses_stateful_tier () =
   let g = network 7 in
-  let u = Graph.users g in
-  let users = [ List.nth u 0; List.nth u 1 ] in
-  let p = Policy.cached Policy.prim in
-  let capacity = Capacity.of_graph g in
-  let t1 = Qnet_online.Policy.route p g params ~capacity ~users in
-  let t2 = Qnet_online.Policy.route p g params ~capacity ~users in
-  (match (t1, t2) with
-  | Some t1, Some t2 ->
-      check_bool "cache replays the same tree" true
-        (List.for_all2 Channel.equal t1.Ent_tree.channels
-           t2.Ent_tree.channels)
-  | _ -> Alcotest.fail "both lookups must route");
-  ignore (Qnet_online.Policy.route p g params ~capacity ~users)
+  let part = Qnet_hier.Partition.kmeans ~regions:2 ~seed:7 g in
+  let hier = Qnet_hier.Serve.policy (Qnet_hier.Oracle.create g params part) in
+  Alcotest.check_raises "stateful tier refused"
+    (Invalid_argument "Policy.tiered: tier hier-prim keeps hidden state")
+    (fun () -> ignore (Policy.tiered [ hier; Policy.prim ]));
+  Alcotest.check_raises "stateful floor refused"
+    (Invalid_argument "Policy.tiered: tier hier-prim keeps hidden state")
+    (fun () -> ignore (Policy.tiered [ Policy.prim; hier ]))
 
 (* ------------------------------------------------------------------ *)
 (* Safety property: concurrent leases never oversubscribe a switch.    *)
@@ -397,10 +392,8 @@ let test_never_oversubscribed_qcheck () =
     in
     let reqs = Workload.generate (Prng.create seed) g spec in
     let policy =
-      match seed mod 3 with
-      | 0 -> Policy.prim
-      | 1 -> Policy.cached Policy.prim
-      | _ -> Option.get (Policy.of_name "alg3")
+      if seed mod 2 = 0 then Policy.prim
+      else Option.get (Policy.of_name "alg3")
     in
     let config = Engine.config policy in
     let report, outcomes = Engine.run ~config g params ~requests:reqs in
@@ -628,14 +621,11 @@ let test_batched_replay_qcheck () =
         ~duration:(1., 5.) ~patience:(0., 8.) ()
     in
     let reqs = Workload.generate (Prng.create seed) g spec in
-    (* Fresh policy per run: the cached adapter's memo table must not
-       leak between the baseline and the replay. *)
-    let make_policy () =
+    let policy =
       match seed mod 4 with
-      | 0 -> Policy.prim
       | 1 -> Option.get (Policy.of_name "alg3")
       | 2 -> Option.get (Policy.of_name "eqcast")
-      | _ -> Policy.cached Policy.prim
+      | _ -> Policy.prim
     in
     let overload =
       if seed mod 5 = 0 then
@@ -660,7 +650,7 @@ let test_batched_replay_qcheck () =
       else None
     in
     let run () =
-      let config = Engine.config ~retry_base:0.5 ~overload (make_policy ()) in
+      let config = Engine.config ~retry_base:0.5 ~overload policy in
       run_with_engine_counters (fun () ->
           Engine.run ~config ?fault_schedule g params ~requests:reqs)
     in
@@ -801,12 +791,6 @@ let hier_run () =
   Engine.run ~config:(Engine.config policy) g params
     ~requests:(pinned_requests g)
 
-let cached_run () =
-  let g = pinned_network () in
-  Engine.run
-    ~config:(Engine.config (Option.get (Policy.of_name "cached-prim")))
-    g params ~requests:(pinned_requests g)
-
 (* The Repair run, restored from its third cut. *)
 let restored_run () =
   let cuts = ref [] in
@@ -833,7 +817,6 @@ let pinned_matrix =
      "08495f7e38f460049326735a7ae8a398");
     ("reconfig", reconfig_run, 62, "bf6465e1d6195e03ce7d71517c6a18b3");
     ("hier", hier_run, 62, "84046f262fae8b4c509a9e03d8c8e616");
-    ("cached-prim", cached_run, 63, "bf2f9561a37040a544eec065ea712344");
     ("restore mid-run", restored_run, 48,
      "95e9ee0d99557eccf3ea13e688bc712f");
   ]
@@ -878,7 +861,8 @@ let () =
           Alcotest.test_case "try_consume" `Quick test_try_consume;
           Alcotest.test_case "residual adapter" `Quick
             test_adapter_respects_residual;
-          Alcotest.test_case "cached" `Quick test_cached_policy;
+          Alcotest.test_case "tiered refuses stateful tier" `Quick
+            test_tiered_refuses_stateful_tier;
         ] );
       ( "safety",
         [

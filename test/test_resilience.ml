@@ -136,53 +136,18 @@ let test_restore_flag_mismatch_refused () =
         has no faults or reconfiguration configured (flags differ)")
     (fun () -> ignore (Engine.run ~restore_from:snap g params ~requests:reqs))
 
-let test_checkpoint_stateful_policy_gate () =
-  let g = network 7 in
-  let reqs = generated 8 g in
-  (* The memo table now travels in the snapshot via state hooks, so
-     cached wrappers are checkpoint-safe... *)
-  check_bool "cached policies are checkpoint-safe" true
-    (Policy.cached Policy.prim).Policy.checkpoint_safe;
-  (* ...but wrapping a policy that itself keeps restorable state would
-     need composed hooks, which nothing provides — that combination
-     must still be refused up front. *)
-  let nested = Policy.cached (Policy.cached Policy.prim) in
-  check_bool "nested cached is not checkpoint-safe" false
-    nested.Policy.checkpoint_safe;
-  Alcotest.check_raises "checkpoint with nested cached policy refused"
-    (Invalid_argument
-       "Engine.run: policy cached-cached-prim keeps hidden mutable state \
-        and cannot be checkpointed or restored")
-    (fun () ->
-      ignore
-        (Engine.run
-           ~config:(Engine.config nested)
-           ~checkpoint:(5., fun _ _ -> ())
-           g params ~requests:reqs))
-
-(* A checkpoint cut while the memo table is warm must carry the exact
-   cache contents: optimistic reuse means warmth shapes later corridor
+(* A checkpoint cut while the hierarchical policy's segment cache is
+   warm must carry the exact cache contents (costs, paths, stamps,
+   query counter): optimistic reuse means warmth shapes later corridor
    choices, so a cold-cache restore would diverge.  The drill compares
    every restored continuation byte-for-byte against the uninterrupted
    run. *)
-let test_cached_policy_restore_equivalence () =
-  let g = network 41 in
-  let reqs = generated 42 g in
-  let config = Engine.config (Policy.cached Policy.prim) in
-  let d = Drill.crash_restore ~config ~every:9. g params ~requests:reqs in
-  if not (Drill.passed d) then Alcotest.fail (Format.asprintf "%a" Drill.pp d);
-  check_bool "cut at least one checkpoint" true (d.Drill.checkpoints > 0)
-
-(* Same property for the hierarchical policy: the skeleton cache
-   (costs, paths, stamps, query counter) is exported into the snapshot
-   and re-imported on restore. *)
 let test_hier_policy_restore_equivalence () =
   let g = network ~switches:30 43 in
   let reqs = generated 44 g in
   let part = Qnet_hier.Partition.kmeans ~regions:4 ~seed:43 g in
   let oracle = Qnet_hier.Oracle.create g params part in
   let policy = Qnet_hier.Serve.policy oracle in
-  check_bool "hier policy is checkpoint-safe" true policy.Policy.checkpoint_safe;
   let config = Engine.config policy in
   let d = Drill.crash_restore ~config ~every:9. g params ~requests:reqs in
   if not (Drill.passed d) then Alcotest.fail (Format.asprintf "%a" Drill.pp d);
@@ -754,9 +719,9 @@ let prop_files_restore_any_cut =
       true)
 
 (* Snapshots a small faulty run cuts — once under a tier ladder,
-   once under a cached policy (whose memo table travels as policy
-   state) — with the metrics registry on, so every optional section of
-   the format is populated somewhere. *)
+   once under the hierarchical policy (whose segment cache travels as
+   policy state) — with the metrics registry on, so every optional
+   section of the format is populated somewhere. *)
 let real_snapshots seed =
   let g = network ~users:5 ~switches:14 seed in
   let reqs = generated (seed + 1) g in
@@ -771,7 +736,10 @@ let real_snapshots seed =
   let configs =
     [
       Engine.config ~overload ~tier_stats tiered;
-      Engine.config ~overload (Policy.cached Policy.prim);
+      Engine.config ~overload
+        (Qnet_hier.Serve.policy
+           (Qnet_hier.Oracle.create g params
+              (Qnet_hier.Partition.kmeans ~regions:2 ~seed g)));
     ]
   in
   let was = Metrics.enabled () in
@@ -1021,10 +989,6 @@ let () =
             test_snapshot_rejects_garbage;
           Alcotest.test_case "flag mismatch refused" `Quick
             test_restore_flag_mismatch_refused;
-          Alcotest.test_case "stateful policy gate" `Quick
-            test_checkpoint_stateful_policy_gate;
-          Alcotest.test_case "cached policy restore equivalence" `Quick
-            test_cached_policy_restore_equivalence;
           Alcotest.test_case "hier policy restore equivalence" `Quick
             test_hier_policy_restore_equivalence;
         ] );

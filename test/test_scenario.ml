@@ -91,7 +91,7 @@ let scenario =
   let open Gen in
   let* network = network and* workload = workload in
   let* name = field d.policy.name (oneofl [ "alg3"; "eqcast"; "flow"; "bogus" ]) in
-  let* cache = bool and* hier = frequency [ (4, return false); (1, return true) ] in
+  let* hier = frequency [ (4, return false); (1, return true) ] in
   let* tiers = opt ~ratio:0.1 (oneofl [ ""; "alg3,prim"; "alg3>>prim" ]) in
   let* budget = i d.policy.budget in
   let o = d.overload in
@@ -128,7 +128,7 @@ let scenario =
     {
       Scenario.network;
       workload;
-      policy = { Scenario.name; cache; hier; tiers; budget };
+      policy = { Scenario.name; hier; tiers; budget };
       overload =
         {
           Scenario.queue;
@@ -217,23 +217,6 @@ let test_instance_errors () =
   error_names "--reconfig"
     (Result.bind (Scenario.validate unknown_switch) Scenario.build)
 
-(* --cache cuts cleanly over a flat policy, not under --hier or --tiers. *)
-let test_cache_with_cuts () =
-  let d = Scenario.default in
-  let cut policy =
-    {
-      d with
-      policy;
-      durability = { d.durability with checkpoint_every = 3. };
-    }
-  in
-  let cached = { d.policy with cache = true } in
-  Alcotest.(check bool) "flat --cache cuts" true
-    (Result.is_ok (Scenario.validate (cut cached)));
-  error_names "--cache" (Scenario.validate (cut { cached with hier = true }));
-  error_names "--cache"
-    (Scenario.validate (cut { cached with tiers = Some "alg3,prim" }))
-
 let () =
   Qnet_flow.Serve.register ();
   Alcotest.run "scenario"
@@ -242,7 +225,6 @@ let () =
         [
           Alcotest.test_case "default builds" `Quick test_default_builds;
           Alcotest.test_case "instance errors" `Quick test_instance_errors;
-          Alcotest.test_case "cache with cuts" `Quick test_cache_with_cuts;
           Alcotest.test_case "total (qcheck)" `Slow test_total;
         ] );
     ]
